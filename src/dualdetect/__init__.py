@@ -12,7 +12,7 @@ them with a quorum rule that tolerates faulty reports. It provides:
 * a spatial Monte Carlo simulator and a reproducible experiment harness.
 """
 
-from .signal_model import Hypothesis, Priors, SignalModel, normal_cdf, sample_observation
+from .signal_model import Hypothesis, Priors, SignalModel, normal_cdf
 from .decision_rules import (
     LikelihoodThresholds,
     LocalMetrics,
@@ -29,8 +29,8 @@ from .fusion import (
     FusionQuality,
     enumerate_fusion_oracle,
     fault_adjust,
+    fuse_decisions,
     fusion_quality,
-    multinomial_coeff,
     prob_error,
     prob_error_faulty,
 )
@@ -42,8 +42,6 @@ from .simulator import (
     Rectangle,
     RunResult,
     SensorField,
-    SensorRecord,
-    fuse_decisions,
     generate_field,
     run_detection,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "Priors",
     "SignalModel",
     "normal_cdf",
-    "sample_observation",
     "LikelihoodThresholds",
     "LocalMetrics",
     "ObservationThresholds",
@@ -80,8 +77,8 @@ __all__ = [
     "FusionQuality",
     "enumerate_fusion_oracle",
     "fault_adjust",
+    "fuse_decisions",
     "fusion_quality",
-    "multinomial_coeff",
     "prob_error",
     "prob_error_faulty",
     "OptimizationResult",
@@ -92,8 +89,6 @@ __all__ = [
     "Rectangle",
     "RunResult",
     "SensorField",
-    "SensorRecord",
-    "fuse_decisions",
     "generate_field",
     "run_detection",
     "ConfigError",

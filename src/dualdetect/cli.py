@@ -21,6 +21,7 @@ import numpy as np
 
 from .decision_rules import LikelihoodThresholds, gammas_from_lambdas, local_metrics
 from .fusion import (
+    MAX_ORACLE_SENSORS,
     FaultModel,
     FusionParams,
     enumerate_fusion_oracle,
@@ -28,15 +29,18 @@ from .fusion import (
     fusion_quality,
 )
 from .harness import (
+    CONFIG_KEYS,
     ConfigError,
     ExperimentConfig,
     load_config,
+    parse_value,
     run_single,
     run_sweep,
     SWEEP_PARAMS,
 )
 from .optimize import minimize_error
 from .signal_model import Hypothesis, SignalModel
+from .simulator import FAULT_MODES
 
 __all__ = ["main"]
 
@@ -45,35 +49,29 @@ EXIT_ORACLE_MISMATCH = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NOT_CONVERGED = 3
 
-_OVERRIDE_TYPES = {
-    "width": float, "height": float, "sensor_count": int,
-    "neighborhood_size": int, "quorum": int,
-    "m0": float, "m1": float, "m2": float,
-    "q0": float, "q1": float, "q2": float,
-    "p_f": float, "seed": int, "repetitions": int,
-    "lambda1": float, "lambda2": float,
+# Keys set another way on the command line: --exclude-self clears
+# include_self, and simulate's own --output-dir names its directory.
+_NO_FLAG_KEYS = {"include_self", "output_dir"}
+
+_FLAG_OPTIONS = {
+    "event1_region": {"metavar": "X0,Y0,X1,Y1"},
+    "event2_region": {"metavar": "X0,Y0,X1,Y1"},
+    "alphas": {"metavar": "A1,A2,A3,A4,A5,A6",
+               "help": "explicit fault transition probabilities"},
+    "fault_mode": {"choices": FAULT_MODES},
 }
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="flat key = value config file")
-    for name, kind in _OVERRIDE_TYPES.items():
-        flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, type=kind, default=None, dest=name)
-    parser.add_argument(
-        "--fault-mode", choices=("forced-change", "alpha-table"),
-        default=None, dest="fault_mode",
-    )
-    parser.add_argument(
-        "--event1-region", metavar="X0,Y0,X1,Y1", default=None, dest="event1_region",
-    )
-    parser.add_argument(
-        "--event2-region", metavar="X0,Y0,X1,Y1", default=None, dest="event2_region",
-    )
-    parser.add_argument(
-        "--alphas", metavar="A1,A2,A3,A4,A5,A6", default=None,
-        help="explicit fault transition probabilities",
-    )
+    for key in CONFIG_KEYS:
+        if key not in _NO_FLAG_KEYS:
+            parser.add_argument(_flag(key), default=None, dest=key,
+                                **_FLAG_OPTIONS.get(key, {}))
     parser.add_argument(
         "--exclude-self", action="store_true",
         help="fuse over the n nearest other sensors instead of n including self",
@@ -82,31 +80,11 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _collect_overrides(args: argparse.Namespace) -> dict[str, object]:
     overrides: dict[str, object] = {}
-    for name in _OVERRIDE_TYPES:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "fault_mode", None) is not None:
-        overrides["fault_mode"] = args.fault_mode
-    for key in ("event1_region", "event2_region"):
+    for key in CONFIG_KEYS:
         raw = getattr(args, key, None)
-        if raw is not None:
-            parts = [p.strip() for p in raw.split(",")]
-            if len(parts) != 4:
-                raise ConfigError(f"--{key.replace('_', '-')} needs 4 numbers")
-            try:
-                overrides[key] = tuple(float(p) for p in parts)
-            except ValueError:
-                raise ConfigError(f"--{key.replace('_', '-')} needs 4 numbers") from None
-    if getattr(args, "alphas", None) is not None:
-        parts = [p.strip() for p in args.alphas.split(",")]
-        if len(parts) != 6:
-            raise ConfigError("--alphas needs 6 comma-separated probabilities")
-        try:
-            overrides["alphas"] = tuple(float(p) for p in parts)
-        except ValueError:
-            raise ConfigError("--alphas needs 6 comma-separated probabilities") from None
-    if getattr(args, "exclude_self", False):
+        if key not in _NO_FLAG_KEYS and raw is not None:
+            overrides[key] = parse_value(key, raw, _flag(key))
+    if args.exclude_self:
         overrides["include_self"] = False
     return overrides
 
@@ -161,9 +139,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
+    try:
+        params = FusionParams(args.n, args.k)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if params.n > MAX_ORACLE_SENSORS:
+        raise ConfigError(f"--n must not exceed {MAX_ORACLE_SENSORS}, got {params.n}")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
-    checked = 0
     for _ in range(args.trials):
         m0 = rng.uniform(-1.0, 1.0)
         m1 = m0 + rng.uniform(0.5, 4.0)
@@ -176,23 +159,18 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         metrics = local_metrics(model, gammas_from_lambdas(model, lambdas))
         if rng.random() < 0.5:
             metrics = fault_adjust(metrics, FaultModel.uniform_split(rng.uniform(0.0, 0.3)))
-        params = FusionParams(args.n, args.k)
         quality = fusion_quality(metrics, params)
-        closed = {
-            Hypothesis.EVENT1: quality.q_d1,
-            Hypothesis.EVENT2: quality.q_d2,
-            Hypothesis.NORMAL: quality.q_f,
-        }
-        for conditioning, value in closed.items():
-            outcome = enumerate_fusion_oracle(metrics, params, conditioning)
-            if conditioning is Hypothesis.EVENT1:
-                reference = outcome.event1
-            elif conditioning is Hypothesis.EVENT2:
-                reference = outcome.event2
-            else:
-                reference = outcome.event1 + outcome.event2
+        h1, h2, h0 = (
+            enumerate_fusion_oracle(metrics, params, conditioning)
+            for conditioning in (Hypothesis.EVENT1, Hypothesis.EVENT2, Hypothesis.NORMAL)
+        )
+        for value, reference in (
+            (quality.q_d1, h1.event1),
+            (quality.q_d2, h2.event2),
+            (quality.q_f, h0.event1 + h0.event2),
+        ):
             worst = max(worst, abs(value - reference))
-            checked += 1
+    checked = 3 * args.trials
     print(f"checked {checked} quantities over {args.trials} random scenarios")
     print(f"max |closed-form - enumeration| = {worst:.3e}")
     if worst > args.tolerance:

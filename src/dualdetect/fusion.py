@@ -6,17 +6,16 @@ when at least k votes agree on it. The probability that a quorum forms
 is a trinomial tail: i votes for the event of interest, j votes for the
 opposite event, and the remaining n - i - j abstentions.
 
-Sensor faults are modeled as a per-label transition table applied
+Sensor faults are modeled as a per-label transition matrix applied
 independently to each sensor's decision before fusion; the closed-form
-adjustment below propagates that table through the per-sensor metrics.
+adjustment below propagates that matrix through the per-sensor metrics.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -35,7 +34,7 @@ __all__ = [
     "FaultModel",
     "FusionQuality",
     "FusionOutcome",
-    "multinomial_coeff",
+    "fuse_decisions",
     "fusion_quality",
     "enumerate_fusion_oracle",
     "prob_error",
@@ -60,16 +59,6 @@ class FusionParams:
             raise ValueError(f"n must be at least 1, got {self.n}")
         if not (1 <= self.k <= self.n):
             raise ValueError(f"k must satisfy 1 <= k <= n, got k={self.k}, n={self.n}")
-        if 2 * self.k <= self.n:
-            # Both events can reach quorum simultaneously; the closed-form
-            # tail probabilities then double-count the conflicting vote
-            # patterns and only the simulator's tie handling is exact.
-            warnings.warn(
-                f"2k <= n (k={self.k}, n={self.n}): both events can reach quorum "
-                "in the same neighborhood and the closed-form error terms "
-                "double-count those patterns",
-                stacklevel=2,
-            )
 
 
 @dataclass(frozen=True)
@@ -82,6 +71,11 @@ class FaultModel:
 
     The total fault probability is the sum of all six. Per source label
     the outgoing corruption must not exceed one.
+
+    ``matrix`` is the row-stochastic transition matrix built from the
+    six alphas: ``matrix[i][j]`` is the probability that a decision with
+    label i is reported as label j, rows and columns ordered (0, +1, -1),
+    so a decision code's index is ``code % 3``.
     """
 
     alpha1: float
@@ -90,18 +84,27 @@ class FaultModel:
     alpha4: float
     alpha5: float
     alpha6: float
+    matrix: tuple[tuple[float, float, float], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for name in ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "alpha6"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-        for pair in (("alpha1", "alpha3"), ("alpha2", "alpha4"), ("alpha5", "alpha6")):
-            total = getattr(self, pair[0]) + getattr(self, pair[1])
-            if total > 1.0 + _UNIT_TOL:
+        matrix = (
+            (1.0 - self.alpha5 - self.alpha6, self.alpha5, self.alpha6),
+            (self.alpha1, 1.0 - self.alpha1 - self.alpha3, self.alpha3),
+            (self.alpha2, self.alpha4, 1.0 - self.alpha2 - self.alpha4),
+        )
+        for code, row in zip((0, 1, -1), matrix):
+            if row[code % 3] < -_UNIT_TOL:
                 raise ValueError(
-                    f"{pair[0]} + {pair[1]} must not exceed 1, got {total!r}"
+                    f"fault probabilities out of label {code} must not exceed 1, "
+                    f"got {1.0 - row[code % 3]!r}"
                 )
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def total_probability(self) -> float:
@@ -121,16 +124,6 @@ class FaultModel:
     @classmethod
     def none(cls) -> "FaultModel":
         return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-    def outgoing(self, source_code: int) -> tuple[tuple[int, float], tuple[int, float]]:
-        """The two (target label, probability) corruption arcs for a source label."""
-        if source_code == 1:
-            return (0, self.alpha1), (-1, self.alpha3)
-        if source_code == -1:
-            return (0, self.alpha2), (1, self.alpha4)
-        if source_code == 0:
-            return (1, self.alpha5), (-1, self.alpha6)
-        raise ValueError(f"invalid decision code {source_code!r}")
 
 
 @dataclass(frozen=True)
@@ -157,25 +150,24 @@ class FusionOutcome(NamedTuple):
     normal: float
 
 
-def multinomial_coeff(n: int, x: int, y: int) -> int:
-    """Number of ways to place x votes of one kind and y of another among n."""
-    if x < 0 or y < 0 or x + y > n:
-        raise ValueError(f"need x, y >= 0 and x + y <= n, got n={n}, x={x}, y={y}")
-    return math.comb(n, x) * math.comb(n - x, y)
-
-
 def _quorum_tail(primary: float, secondary: float, n: int, k: int) -> float:
-    """P(at least k primary votes) for i.i.d. ternary votes.
+    """P(the fused label is the primary event) for i.i.d. ternary votes.
 
     Summed as a trinomial: i primary votes (outer), j secondary votes
-    (inner), the rest abstaining.
+    (inner), the rest abstaining. A pattern counts when the primary
+    event reaches quorum and the secondary event either misses quorum
+    or has fewer votes, which is the tie rule of :func:`fuse_decisions`.
+    When 2k > n the secondary event can never reach quorum alongside
+    the primary one, so every pattern with i >= k counts.
     """
     rest = 1.0 - primary - secondary
     total = 0.0
     for i in range(k, n + 1):
         for j in range(0, n - i + 1):
+            if j >= k and j >= i:
+                continue
             total += (
-                multinomial_coeff(n, i, j)
+                math.comb(n, i) * math.comb(n - i, j)
                 * primary**i
                 * secondary**j
                 * rest ** (n - i - j)
@@ -192,26 +184,32 @@ def fusion_quality(metrics: LocalMetrics, params: FusionParams) -> FusionQuality
     return FusionQuality(q_d1=q_d1, q_d2=q_d2, q_f1=q_f1, q_f2=q_f2, q_f=q_f1 + q_f2)
 
 
-@lru_cache(maxsize=None)
-def _vote_patterns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    votes = np.array(list(itertools.product((1, -1, 0), repeat=n)), dtype=np.int8)
+def fuse_decisions(reported: np.ndarray, neighbors: np.ndarray, k: int) -> np.ndarray:
+    """Modified k-out-of-n fusion of reported decisions.
+
+    A node declares an event when at least k of its neighborhood's
+    votes name that event; if both events reach quorum the larger count
+    wins and an exact tie yields the quiet label.
+    """
+    votes = reported[neighbors]
     count1 = (votes == 1).sum(axis=1)
     count2 = (votes == -1).sum(axis=1)
-    return votes, count1, count2
-
-
-def _fused_labels(count1: np.ndarray, count2: np.ndarray, k: int) -> np.ndarray:
-    """Modified k-out-of-n rule applied to vote counts.
-
-    Event quorums are k votes; if both events reach quorum the larger
-    count wins and an exact tie falls back to the quiet label.
-    """
-    labels = np.zeros(count1.shape, dtype=np.int8)
+    fused = np.zeros(neighbors.shape[0], dtype=np.int8)
     up = count1 >= k
     down = count2 >= k
-    labels[up & (~down | (count1 > count2))] = 1
-    labels[down & (~up | (count2 > count1))] = -1
-    return labels
+    fused[up & (~down | (count1 > count2))] = 1
+    fused[down & (~up | (count2 > count1))] = -1
+    return fused
+
+
+# The three vote labels, indexed by the vote patterns below.
+_VOTE_LABELS = np.array([1, -1, 0], dtype=np.int8)
+
+
+@lru_cache(maxsize=None)
+def _vote_patterns(n: int) -> np.ndarray:
+    """All 3^n vote vectors as rows of indices into ``_VOTE_LABELS``."""
+    return np.array(list(itertools.product(range(3), repeat=n)), dtype=np.int8)
 
 
 def enumerate_fusion_oracle(
@@ -235,12 +233,11 @@ def enumerate_fusion_oracle(
         p_plus, p_minus = metrics.p_m2, metrics.p_d2
     else:
         p_plus, p_minus = metrics.p_f1, metrics.p_f2
-    p_zero = 1.0 - p_plus - p_minus
+    probs = np.array([p_plus, p_minus, 1.0 - p_plus - p_minus])
 
-    votes, count1, count2 = _vote_patterns(params.n)
-    per_vote = np.where(votes == 1, p_plus, np.where(votes == -1, p_minus, p_zero))
-    mass = per_vote.prod(axis=1)
-    labels = _fused_labels(count1, count2, params.k)
+    patterns = _vote_patterns(params.n)
+    mass = probs[patterns].prod(axis=1)
+    labels = fuse_decisions(_VOTE_LABELS, patterns, params.k)
     return FusionOutcome(
         event1=float(mass[labels == 1].sum()),
         event2=float(mass[labels == -1].sum()),
@@ -258,32 +255,29 @@ def prob_error(priors: Priors, quality: FusionQuality) -> float:
 
 
 def fault_adjust(metrics: LocalMetrics, faults: FaultModel) -> LocalMetrics:
-    """Propagate the fault transition table through per-sensor metrics.
+    """Propagate the fault transition matrix through per-sensor metrics.
 
-    Each reported-label probability gains the mass faulted in from the
-    other two labels and loses the mass faulted out. With a valid
-    transition table the outputs are again probabilities; anything
-    outside [0, 1] indicates inconsistent inputs and raises rather than
-    being clamped.
+    Under each hypothesis the reported-label distribution is the local
+    one, as a row over (0, +1, -1), times the transition matrix. With a
+    valid matrix the outputs are again probabilities; anything outside
+    [0, 1] indicates inconsistent inputs, and LocalMetrics raises rather
+    than clamping it.
     """
-    a1, a2, a3 = faults.alpha1, faults.alpha2, faults.alpha3
-    a4, a5, a6 = faults.alpha4, faults.alpha5, faults.alpha6
+    # x_to_y: matrix entry from label x to label y; n = 0, p = +1, m = -1.
+    (_, n_to_p, n_to_m), (_, p_to_p, p_to_m), (_, m_to_p, m_to_m) = faults.matrix
+
+    def reported(plus: float, minus: float) -> tuple[float, float]:
+        rest = 1.0 - plus - minus
+        return (
+            rest * n_to_p + plus * p_to_p + minus * m_to_p,
+            rest * n_to_m + plus * p_to_m + minus * m_to_m,
+        )
+
     m = metrics
-    adjusted = {
-        "p_d1": m.p_d1 + a4 * m.p_m1 + a5 * (1.0 - m.p_d1 - m.p_m1) - (a1 + a3) * m.p_d1,
-        "p_d2": m.p_d2 + a3 * m.p_m2 + a6 * (1.0 - m.p_d2 - m.p_m2) - (a2 + a4) * m.p_d2,
-        "p_f1": m.p_f1 + a4 * m.p_f2 + a5 * (1.0 - m.p_f1 - m.p_f2) - (a1 + a3) * m.p_f1,
-        "p_f2": m.p_f2 + a3 * m.p_f1 + a6 * (1.0 - m.p_f1 - m.p_f2) - (a2 + a4) * m.p_f2,
-        "p_m1": m.p_m1 + a3 * m.p_d1 + a6 * (1.0 - m.p_d1 - m.p_m1) - (a2 + a4) * m.p_m1,
-        "p_m2": m.p_m2 + a4 * m.p_d2 + a5 * (1.0 - m.p_d2 - m.p_m2) - (a1 + a3) * m.p_m2,
-    }
-    for name, value in adjusted.items():
-        if not (-_UNIT_TOL <= value <= 1.0 + _UNIT_TOL):
-            raise ValueError(
-                f"fault adjustment pushed {name} outside [0, 1] ({value!r}); "
-                "inputs are inconsistent"
-            )
-    return LocalMetrics(**adjusted)
+    p_d1, p_m1 = reported(m.p_d1, m.p_m1)
+    p_m2, p_d2 = reported(m.p_m2, m.p_d2)
+    p_f1, p_f2 = reported(m.p_f1, m.p_f2)
+    return LocalMetrics(p_d1=p_d1, p_d2=p_d2, p_f1=p_f1, p_f2=p_f2, p_m1=p_m1, p_m2=p_m2)
 
 
 def prob_error_faulty(

@@ -11,7 +11,8 @@ CSV row per value.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from .simulator import (
 )
 
 __all__ = [
+    "CONFIG_KEYS",
     "ConfigError",
     "ExperimentConfig",
     "SingleRunArtifacts",
@@ -37,6 +39,7 @@ __all__ = [
     "SweepSummary",
     "load_config",
     "parse_config_text",
+    "parse_value",
     "run_single",
     "run_sweep",
     "SWEEP_PARAMS",
@@ -44,7 +47,13 @@ __all__ = [
     "SCATTER_CSV_HEADER",
 ]
 
-SWEEP_PARAMS = ("p_f", "nk", "sensor_count", "means", "priors")
+# Each sweep parameter names the config keys one '/'-separated value sets.
+_SWEEP_KEYS = {
+    "p_f": ("p_f",), "nk": ("neighborhood_size", "quorum"),
+    "sensor_count": ("sensor_count",),
+    "means": ("m0", "m1", "m2"), "priors": ("q0", "q1", "q2"),
+}
+SWEEP_PARAMS = tuple(_SWEEP_KEYS)
 SCATTER_CSV_HEADER = "x,y,truth,decision,faulty"
 SWEEP_CSV_HEADER = "param,ld_bf,fd_bf,ld_af,fd_af,lambda1,lambda2"
 
@@ -156,10 +165,8 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# config file parsing
-
-_REGION_KEYS = {"event1_region", "event2_region"}
-_ALPHA_KEYS = tuple(f"alpha{i}" for i in range(1, 7))
+# config keys: one string parser per ExperimentConfig field, shared by the
+# file parser and the command line
 
 _BOOL_VALUES = {"true": True, "false": False, "yes": True, "no": False,
                 "1": True, "0": False}
@@ -169,61 +176,65 @@ def _parse_bool(raw: str) -> bool:
     try:
         return _BOOL_VALUES[raw.strip().lower()]
     except KeyError:
-        raise ConfigError(f"expected a boolean, got {raw!r}") from None
+        raise ValueError(f"expected a boolean, got {raw!r}") from None
 
 
-def _parse_region(raw: str) -> tuple[float, float, float, float]:
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 4:
-        raise ConfigError(f"regions need 4 comma-separated numbers, got {raw!r}")
-    try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
-    except ValueError:
-        raise ConfigError(f"regions need 4 comma-separated numbers, got {raw!r}") from None
+def _parse_floats(count: int, raw: str) -> tuple[float, ...]:
+    parts = raw.split(",")
+    if len(parts) != count:
+        raise ValueError(f"expected {count} comma-separated numbers, got {raw!r}")
+    return tuple(float(p) for p in parts)
 
 
-_SCALAR_PARSERS = {
+CONFIG_KEYS = {
     "width": float, "height": float, "sensor_count": int,
+    "event1_region": partial(_parse_floats, 4),
+    "event2_region": partial(_parse_floats, 4),
     "neighborhood_size": int, "quorum": int, "include_self": _parse_bool,
     "m0": float, "m1": float, "m2": float,
     "q0": float, "q1": float, "q2": float,
-    "p_f": float, "fault_mode": str, "seed": int, "repetitions": int,
+    "p_f": float, "alphas": partial(_parse_floats, 6), "fault_mode": str,
+    "seed": int, "repetitions": int,
     "lambda1": float, "lambda2": float, "output_dir": str,
 }
+
+# Config files spell the alpha table as six keys rather than one.
+_ALPHA_KEYS = tuple(f"alpha{i}" for i in range(1, 7))
+
+
+def parse_value(key: str, raw: str, where: str) -> object:
+    """Parse one raw string with ``key``'s parser; ``where`` prefixes errors."""
+    try:
+        return CONFIG_KEYS[key](raw.strip())
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {key}: {exc}") from None
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
     """Parse flat ``key = value`` lines into typed values."""
     values: dict[str, object] = {}
-    alphas: dict[str, float] = {}
+    alphas: dict[str, str] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{source}:{lineno}"
         if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw_line!r}")
+            raise ConfigError(f"{where}: expected 'key = value', got {raw_line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key in _REGION_KEYS:
-            values[key] = _parse_region(raw)
-        elif key in _ALPHA_KEYS:
-            try:
-                alphas[key] = float(raw)
-            except ValueError:
-                raise ConfigError(f"{source}:{lineno}: {key} needs a number") from None
-        elif key in _SCALAR_PARSERS:
-            try:
-                values[key] = _SCALAR_PARSERS[key](raw)
-            except ConfigError:
-                raise
-            except (ValueError, TypeError):
-                raise ConfigError(f"{source}:{lineno}: bad value for {key}: {raw!r}") from None
+        if key in _ALPHA_KEYS:
+            alphas[key] = raw
+        elif key in CONFIG_KEYS and key != "alphas":
+            values[key] = parse_value(key, raw, where)
         else:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+            raise ConfigError(f"{where}: unknown key {key!r}")
     if alphas:
         missing = [k for k in _ALPHA_KEYS if k not in alphas]
         if missing:
             raise ConfigError(f"{source}: alpha table incomplete, missing {missing}")
-        values["alphas"] = tuple(alphas[k] for k in _ALPHA_KEYS)
+        values["alphas"] = parse_value(
+            "alphas", ",".join(alphas[k] for k in _ALPHA_KEYS), source
+        )
     return values
 
 
@@ -240,8 +251,7 @@ def load_config(
         values.update(parse_config_text(text, source=str(path)))
     if overrides:
         values.update(overrides)
-    valid_names = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(values) - valid_names
+    unknown = values.keys() - CONFIG_KEYS.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
@@ -424,27 +434,18 @@ def _apply_sweep_value(
     base: ExperimentConfig, param: str, raw: str
 ) -> tuple[ExperimentConfig, str]:
     """Return the cell config and its canonical label for one sweep value."""
-    raw = raw.strip()
-    try:
-        if param == "p_f":
-            value = float(raw)
-            return replace(base, p_f=value, alphas=None), repr(value)
-        if param == "nk":
-            n_str, k_str = raw.split("/")
-            n, k = int(n_str), int(k_str)
-            return replace(base, neighborhood_size=n, quorum=k), f"{n}/{k}"
-        if param == "sensor_count":
-            value = int(raw)
-            return replace(base, sensor_count=value), str(value)
-        if param == "means":
-            m0, m1, m2 = (float(p) for p in raw.split("/"))
-            return replace(base, m0=m0, m1=m1, m2=m2), f"{m0!r}/{m1!r}/{m2!r}"
-        if param == "priors":
-            q0, q1, q2 = (float(p) for p in raw.split("/"))
-            return replace(base, q0=q0, q1=q1, q2=q2), f"{q0!r}/{q1!r}/{q2!r}"
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad {param} sweep value {raw!r}: {exc}") from exc
-    raise ConfigError(f"unknown sweep parameter {param!r}; expected one of {SWEEP_PARAMS}")
+    if param not in _SWEEP_KEYS:
+        raise ConfigError(f"unknown sweep parameter {param!r}; expected one of {SWEEP_PARAMS}")
+    keys = _SWEEP_KEYS[param]
+    parts = raw.strip().split("/")
+    if len(parts) != len(keys):
+        raise ConfigError(f"bad {param} sweep value {raw!r}: expected {len(keys)} part(s)")
+    values = {key: parse_value(key, part, f"{param} sweep value") for key, part in zip(keys, parts)}
+    label = "/".join(repr(v) for v in values.values())
+    if param == "p_f":
+        # A swept total fault probability replaces any explicit alpha table.
+        values["alphas"] = None
+    return replace(base, **values), label
 
 
 def _cell_rng(base_seed: int, run_index: int, param: str, label: str) -> np.random.Generator:

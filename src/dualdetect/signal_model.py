@@ -21,7 +21,6 @@ __all__ = [
     "SignalModel",
     "Priors",
     "normal_cdf",
-    "sample_observation",
 ]
 
 _PRIOR_SUM_TOL = 1e-9
@@ -80,13 +79,6 @@ class SignalModel:
                 f"({self.m0}, {self.m1}, {self.m2})"
             )
 
-    def mean_for(self, hypothesis: Hypothesis) -> float:
-        if hypothesis is Hypothesis.NORMAL:
-            return self.m0
-        if hypothesis is Hypothesis.EVENT1:
-            return self.m1
-        return self.m2
-
     def means_for_codes(self, codes: np.ndarray) -> np.ndarray:
         """Vectorized mean lookup for an array of 0/+1/-1 codes."""
         codes = np.asarray(codes)
@@ -114,10 +106,3 @@ class Priors:
 def normal_cdf(z: float) -> float:
     """Standard normal CDF, accurate to machine precision via erf."""
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
-def sample_observation(
-    model: SignalModel, truth: Hypothesis, rng: np.random.Generator
-) -> float:
-    """Draw one observation: the truth's mean plus unit Gaussian noise."""
-    return float(rng.normal(loc=model.mean_for(truth), scale=1.0))

@@ -12,25 +12,28 @@ Two realizations are available:
 ``forced-change``
     Exactly floor(P_f * N) distinct sensors are drawn and each one's
     decision is replaced by one of the other two labels, chosen with
-    probability proportional to the fault table's arcs for its current
-    label (an even split when both arcs are zero).
+    probability proportional to the fault matrix's off-diagonal entries
+    in its current label's row (an even split when both are zero).
 
 ``alpha-table``
-    Every sensor independently applies the fault table as a transition
-    matrix, so a sensor keeps its decision with the table's residual
+    Every sensor independently draws its report from its decision's row
+    of the fault matrix, so it keeps its decision with the diagonal
     mass; sensors whose reports changed are flagged faulty.
+
+Both modes map one uniform draw per faulted sensor onto its row's two
+off-diagonal arcs taken in ascending column order, which fixes the
+labels a given seed produces.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .decision_rules import ObservationThresholds, classify_observations
-from .fusion import FaultModel, FusionParams
+from .fusion import FaultModel, FusionParams, fuse_decisions
 from .signal_model import Hypothesis, SignalModel
 
 __all__ = [
@@ -38,7 +41,6 @@ __all__ = [
     "FieldConfig",
     "SensorField",
     "FaultSpec",
-    "SensorRecord",
     "RunResult",
     "generate_field",
     "run_detection",
@@ -111,10 +113,7 @@ class FieldConfig:
                 f"neighborhood_size must lie in [1, {available}], "
                 f"got {self.neighborhood_size}"
             )
-        if not (1 <= self.quorum <= self.neighborhood_size):
-            raise ValueError(
-                f"quorum must lie in [1, neighborhood_size], got {self.quorum}"
-            )
+        FusionParams(self.neighborhood_size, self.quorum)  # checks 1 <= quorum <= n
 
 
 @dataclass(frozen=True)
@@ -143,19 +142,6 @@ class FaultSpec:
 
 
 @dataclass(frozen=True)
-class SensorRecord:
-    """Everything known about one sensor after a run."""
-
-    position: tuple[float, float]
-    truth: Hypothesis
-    observation: float
-    local_decision: Hypothesis
-    reported_decision: Hypothesis
-    faulty: bool
-    final_decision: Hypothesis
-
-
-@dataclass(frozen=True)
 class RunResult:
     """One simulated detection round.
 
@@ -178,30 +164,8 @@ class RunResult:
     clean_final_error_rate: float
 
     @property
-    def neighbor_lists(self) -> np.ndarray:
-        return self.field.neighbors
-
-    @property
     def fault_count(self) -> int:
         return int(self.faulty.sum())
-
-    @cached_property
-    def records(self) -> tuple[SensorRecord, ...]:
-        out = []
-        for i in range(self.field.config.sensor_count):
-            out.append(
-                SensorRecord(
-                    position=(float(self.field.positions[i, 0]),
-                              float(self.field.positions[i, 1])),
-                    truth=Hypothesis.from_code(self.field.truth[i]),
-                    observation=float(self.observations[i]),
-                    local_decision=Hypothesis.from_code(self.local[i]),
-                    reported_decision=Hypothesis.from_code(self.reported[i]),
-                    faulty=bool(self.faulty[i]),
-                    final_decision=Hypothesis.from_code(self.final[i]),
-                )
-            )
-        return tuple(out)
 
 
 def _nearest_neighbors(positions: np.ndarray, n: int, include_self: bool) -> np.ndarray:
@@ -245,22 +209,16 @@ def generate_field(config: FieldConfig, rng: np.random.Generator) -> SensorField
                        neighbors=neighbors)
 
 
-def fuse_decisions(reported: np.ndarray, neighbors: np.ndarray, k: int) -> np.ndarray:
-    """Modified k-out-of-n fusion of reported decisions.
+# FaultModel.matrix row and column order, and each row's off-diagonal
+# columns in ascending order. A decision code's row is code % 3.
+_MATRIX_CODES = np.array([0, 1, -1], dtype=np.int8)
+_ARC_COLUMNS = np.array([[1, 2], [0, 2], [0, 1]])
 
-    A node declares an event when at least k of its neighborhood's
-    votes name that event; if both events reach quorum the larger count
-    wins and an exact tie yields the quiet label.
-    """
-    votes = reported[neighbors]
-    count1 = (votes == 1).sum(axis=1)
-    count2 = (votes == -1).sum(axis=1)
-    fused = np.zeros(neighbors.shape[0], dtype=np.int8)
-    up = count1 >= k
-    down = count2 >= k
-    fused[up & (~down | (count1 > count2))] = 1
-    fused[down & (~up | (count2 > count1))] = -1
-    return fused
+
+def _row_arcs(model: FaultModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's two off-diagonal columns and their matrix entries."""
+    columns = _ARC_COLUMNS[rows]
+    return columns, np.array(model.matrix)[rows[:, None], columns]
 
 
 def _inject_forced_change(
@@ -276,35 +234,25 @@ def _inject_forced_change(
     faulty[chosen] = True
 
     u = rng.random(n_faulty)
-    new_labels = np.empty(n_faulty, dtype=np.int8)
-    source = local[chosen]
-    for code in (1, -1, 0):
-        mask = source == code
-        if not mask.any():
-            continue
-        (first_label, w_first), (second_label, w_second) = spec.model.outgoing(code)
-        total = w_first + w_second
-        p_first = 0.5 if total == 0.0 else w_first / total
-        new_labels[mask] = np.where(u[mask] < p_first, first_label, second_label)
-    reported[chosen] = new_labels
+    columns, weights = _row_arcs(spec.model, local[chosen] % 3)
+    total = weights[:, 0] + weights[:, 1]
+    p_first = np.divide(
+        weights[:, 0], total, out=np.full(n_faulty, 0.5), where=total > 0.0
+    )
+    reported[chosen] = _MATRIX_CODES[np.where(u < p_first, columns[:, 0], columns[:, 1])]
     return reported, faulty
 
 
 def _inject_alpha_table(
     local: np.ndarray, spec: FaultSpec, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    count = local.shape[0]
-    u = rng.random(count)
-    reported = local.copy()
-    for code in (1, -1, 0):
-        mask = local == code
-        if not mask.any():
-            continue
-        (first_label, w_first), (second_label, w_second) = spec.model.outgoing(code)
-        to_first = mask & (u < w_first)
-        to_second = mask & (u >= w_first) & (u < w_first + w_second)
-        reported[to_first] = first_label
-        reported[to_second] = second_label
+    u = rng.random(local.shape[0])
+    rows = local % 3
+    columns, weights = _row_arcs(spec.model, rows)
+    to_first = u < weights[:, 0]
+    to_second = u < weights[:, 0] + weights[:, 1]
+    chosen = np.where(to_first, columns[:, 0], np.where(to_second, columns[:, 1], rows))
+    reported = _MATRIX_CODES[chosen]
     faulty = reported != local
     return reported, faulty
 
@@ -323,14 +271,11 @@ def run_detection(
     selection, then fault transitions) so a given seed reproduces the
     run bit for bit.
     """
-    if params.n != field.config.neighborhood_size:
+    layout = (field.config.neighborhood_size, field.config.quorum)
+    if (params.n, params.k) != layout:
         raise ValueError(
-            f"fusion n={params.n} does not match the field's neighborhood size "
-            f"{field.config.neighborhood_size}"
-        )
-    if params.k != field.config.quorum:
-        raise ValueError(
-            f"fusion k={params.k} does not match the field's quorum {field.config.quorum}"
+            f"fusion (n, k) = ({params.n}, {params.k}) does not match the field's "
+            f"(neighborhood_size, quorum) = {layout}"
         )
     means = model.means_for_codes(field.truth)
     observations = means + rng.standard_normal(field.config.sensor_count)

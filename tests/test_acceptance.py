@@ -146,7 +146,7 @@ def test_criterion_06_skewed_priors_spot_check():
 
 def test_criterion_07_closed_form_matches_enumeration():
     rng = np.random.default_rng(20260818)
-    pairs = [(n, k) for n in range(1, 8) for k in range(1, n + 1) if 2 * k > n]
+    pairs = [(n, k) for n in range(1, 8) for k in range(1, n + 1)]
     worst = 0.0
     for _ in range(1000):
         draws = [rng.dirichlet((1.0, 1.0, 1.0)) for _ in range(3)]

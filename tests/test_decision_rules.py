@@ -238,7 +238,7 @@ class TestLocalMetrics:
             Hypothesis.NORMAL: (m.p_f1, m.p_f2),
         }
         for truth, (p_first, p_second) in expectations.items():
-            x = model.mean_for(truth) + rng.standard_normal(n)
+            x = model.means_for_codes(truth.code) + rng.standard_normal(n)
             codes = classify_observations(x, gammas)
             for p, frequency in ((p_first, np.mean(codes == 1)), (p_second, np.mean(codes == -1))):
                 se = max(math.sqrt(p * (1.0 - p) / n), 1e-6)

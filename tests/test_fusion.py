@@ -1,7 +1,5 @@
 """Decision fusion: quorum tail sums, fault transitions, error composition."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +17,6 @@ from dualdetect import (
     fusion_quality,
     gammas_from_lambdas,
     local_metrics,
-    multinomial_coeff,
     prob_error,
     prob_error_faulty,
 )
@@ -48,25 +45,6 @@ def fault_strategy(cap=0.5):
     )
 
 
-class TestMultinomialCoeff:
-    def test_hand_values(self):
-        assert multinomial_coeff(5, 2, 1) == 30
-        assert multinomial_coeff(3, 3, 0) == 1
-        assert multinomial_coeff(4, 0, 0) == 1
-        assert multinomial_coeff(6, 2, 2) == 90
-
-    def test_reduces_to_binomial(self):
-        for n in range(1, 8):
-            for x in range(n + 1):
-                assert multinomial_coeff(n, x, 0) == math.comb(n, x)
-
-    def test_rejects_overflowing_counts(self):
-        with pytest.raises(ValueError):
-            multinomial_coeff(3, 2, 2)
-        with pytest.raises(ValueError):
-            multinomial_coeff(3, -1, 0)
-
-
 class TestFusionParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -75,14 +53,6 @@ class TestFusionParams:
             FusionParams(3, 4)
         with pytest.raises(ValueError):
             FusionParams(3, 0)
-
-    def test_warns_when_quorums_can_overlap(self):
-        with pytest.warns(UserWarning):
-            FusionParams(4, 2)
-
-    def test_no_warning_for_majority(self, recwarn):
-        FusionParams(5, 3)
-        assert not recwarn.list
 
 
 class TestFusionQuality:
@@ -149,11 +119,14 @@ class TestFaultModel:
         with pytest.raises(ValueError):
             FaultModel(0.6, 0, 0.6, 0, 0, 0)
 
-    def test_outgoing_arcs(self):
+    def test_transition_matrix(self):
         faults = FaultModel(0.01, 0.02, 0.03, 0.04, 0.05, 0.06)
-        assert faults.outgoing(1) == ((0, 0.01), (-1, 0.03))
-        assert faults.outgoing(-1) == ((0, 0.02), (1, 0.04))
-        assert faults.outgoing(0) == ((1, 0.05), (-1, 0.06))
+        # rows and columns ordered (0, +1, -1)
+        assert faults.matrix == (
+            (1.0 - 0.05 - 0.06, 0.05, 0.06),
+            (0.01, 1.0 - 0.01 - 0.03, 0.03),
+            (0.02, 0.04, 1.0 - 0.02 - 0.04),
+        )
 
 
 def _transition_matrix(f):

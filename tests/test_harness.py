@@ -1,7 +1,9 @@
 """Experiment harness: config parsing, CSV artifacts, sweeps, CLI."""
 
+import hashlib
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +16,55 @@ from dualdetect import (
     run_single,
     run_sweep,
 )
-from dualdetect.cli import main
+from dualdetect.cli import _build_parser, _load, main
 from dualdetect.harness import SCATTER_CSV_HEADER, SWEEP_CSV_HEADER
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# One non-default setting per group of keys, as config file text and as
+# command line flags. Priors and thresholds are only valid as a group.
+# output_dir has no override flag: simulate's --output-dir names the
+# artifact directory directly.
+KEY_PARITY_CASES = [
+    ("width", "width = 30", ["--width", "30"]),
+    ("height", "height = 25.5", ["--height", "25.5"]),
+    ("sensor_count", "sensor_count = 150", ["--sensor-count", "150"]),
+    ("event1_region", "event1_region = 1, 1, 9, 9", ["--event1-region", "1,1,9,9"]),
+    ("event2_region", "event2_region = 13,13,19,19", ["--event2-region", "13, 13, 19, 19"]),
+    ("neighborhood_size", "neighborhood_size = 7", ["--neighborhood-size", "7"]),
+    ("quorum", "quorum = 4", ["--quorum", "4"]),
+    ("include_self", "include_self = no", ["--exclude-self"]),
+    ("m0", "m0 = -1", ["--m0", "-1"]),
+    ("m1", "m1 = 2.5", ["--m1", "2.5"]),
+    ("m2", "m2 = 7", ["--m2", "7"]),
+    ("q0 q1 q2", "q0 = 0.5\nq1 = 0.3\nq2 = 0.2",
+     ["--q0", "0.5", "--q1", "0.3", "--q2", "0.2"]),
+    ("p_f", "p_f = 0.24", ["--p-f", "0.24"]),
+    ("alphas", "\n".join(f"alpha{i} = 0.0{i}" for i in range(1, 7)),
+     ["--alphas", "0.01,0.02,0.03,0.04,0.05,0.06"]),
+    ("fault_mode", "fault_mode = alpha-table", ["--fault-mode", "alpha-table"]),
+    ("seed", "seed = 7", ["--seed", "7"]),
+    ("repetitions", "repetitions = 10", ["--repetitions", "10"]),
+    ("lambda1 lambda2", "lambda1 = 1.25\nlambda2 = 2.5", ["--lambda1", "1.25", "--lambda2", "2.5"]),
+]
+
+# sha256 of every file `simulate --config configs/experiment2.conf` writes.
+GOLDEN_SIMULATE_DIGESTS = {
+    "forced-change": {
+        "final_decisions.csv": "0ce67c8bf516756b3ba08c0b2fceb7ee19a03d1f6b332d7ae34cf02373eb0fa5",
+        "final_decisions_faulty.csv": "501c9b560af2a5ca62f9ed3d03450ee4b952ad51a3fc4030719653af2790812d",
+        "local_decisions.csv": "ec2ce5ab9cd95c9e9e929dcebb4d46de8ef07d8e465c6295296ea2eb44222342",
+        "local_decisions_faulty.csv": "a71278f4e60541d5df181d85de27d7647f92aa0a9f511912bbe15d8d099a9d80",
+        "summary.csv": "726e841afb7fb3e1f57264aebe27064b55581a2b74e4eb142c0c3a4595542609",
+    },
+    "alpha-table": {
+        "final_decisions.csv": "0ce67c8bf516756b3ba08c0b2fceb7ee19a03d1f6b332d7ae34cf02373eb0fa5",
+        "final_decisions_faulty.csv": "ebcb175584207440e0a9a5be01b0b61e6e2d0900df0aae789013cb175279c7a8",
+        "local_decisions.csv": "ec2ce5ab9cd95c9e9e929dcebb4d46de8ef07d8e465c6295296ea2eb44222342",
+        "local_decisions_faulty.csv": "3643e5f3cf01709e4e891e87c4af7d6bd3a7e795972497897218a44afce9635a",
+        "summary.csv": "6d4bb36dc91ac31c2b2c4c270309ca4e5ad26b845cc72e41ab08ca8936b629c0",
+    },
+}
 
 
 def small_config(**overrides):
@@ -77,6 +126,34 @@ class TestConfigParsing:
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.conf")
+
+
+class TestKeyParity:
+    def test_cases_cover_every_key(self):
+        covered = {key for case in KEY_PARITY_CASES for key in case[0].split()}
+        assert covered | {"output_dir"} == {f.name for f in fields(ExperimentConfig)}
+
+    @pytest.mark.parametrize(
+        "file_text, argv", [case[1:] for case in KEY_PARITY_CASES],
+        ids=[case[0] for case in KEY_PARITY_CASES],
+    )
+    def test_file_and_flag_agree(self, tmp_path, file_text, argv):
+        conf = tmp_path / "case.conf"
+        conf.write_text(file_text + "\n")
+        from_file = load_config(conf)
+        from_flags = _load(_build_parser().parse_args(["optimize", *argv]))
+        assert from_file == from_flags
+        assert from_file != ExperimentConfig()
+
+    @pytest.mark.parametrize("argv", [
+        ["--sensor-count", "many"],
+        ["--event1-region", "1,2,3"],
+        ["--alphas", "0.1,0.1"],
+        ["--alphas", "a,b,c,d,e,f"],
+    ])
+    def test_bad_flag_value_exit_two(self, argv, capsys):
+        assert main(["optimize", *argv]) == 2
+        assert "bad value" in capsys.readouterr().err
 
 
 class TestConfigValidation:
@@ -154,6 +231,19 @@ class TestRunSingle:
     def test_fault_count_floor(self, tmp_path):
         artifacts = run_single(small_config(p_f=0.12, sensor_count=200), tmp_path)
         assert artifacts.summary["fault_count"] == math.floor(0.12 * 200)
+
+    @pytest.mark.parametrize("mode", sorted(GOLDEN_SIMULATE_DIGESTS))
+    def test_seeded_artifacts_match_golden_digests(self, tmp_path, capsys, mode):
+        code = main([
+            "simulate", "--config", str(CONFIGS / "experiment2.conf"),
+            "--fault-mode", mode, "--output-dir", str(tmp_path),
+        ])
+        capsys.readouterr()
+        assert code == 0
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
+        }
+        assert digests == GOLDEN_SIMULATE_DIGESTS[mode]
 
     def test_before_fault_files_are_clean(self, tmp_path):
         run_single(small_config(p_f=0.24), tmp_path)
@@ -256,6 +346,11 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 0
         assert "agreement" in captured.out
+
+    @pytest.mark.parametrize("argv", [["--n", "13"], ["--n", "3", "--k", "5"]])
+    def test_oracle_check_bad_arguments_exit_two(self, argv, capsys):
+        assert main(["oracle-check", *argv]) == 2
+        assert "error" in capsys.readouterr().err
 
     def test_alphas_flag(self, tmp_path, capsys):
         out = tmp_path / "runs"

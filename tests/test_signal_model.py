@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from dualdetect import Hypothesis, Priors, SignalModel, normal_cdf, sample_observation
+from dualdetect import Hypothesis, Priors, SignalModel, normal_cdf
 
 # Verified against direct quadrature of the standard normal density.
 PHI_1_5 = 0.9331927987311419
@@ -35,9 +35,9 @@ class TestHypothesis:
 
 class TestSignalModel:
     def test_mean_lookup(self, model):
-        assert model.mean_for(Hypothesis.NORMAL) == 0.0
-        assert model.mean_for(Hypothesis.EVENT1) == 3.0
-        assert model.mean_for(Hypothesis.EVENT2) == 6.0
+        assert model.means_for_codes(Hypothesis.NORMAL.code) == 0.0
+        assert model.means_for_codes(Hypothesis.EVENT1.code) == 3.0
+        assert model.means_for_codes(Hypothesis.EVENT2.code) == 6.0
 
     def test_means_for_codes(self, model):
         codes = np.array([0, 1, -1, 1, 0], dtype=np.int8)
@@ -59,7 +59,7 @@ class TestSignalModel:
 
     def test_negative_means_allowed(self):
         model = SignalModel(-6.0, -3.0, -1.0)
-        assert model.mean_for(Hypothesis.EVENT2) == -1.0
+        assert model.means_for_codes(Hypothesis.EVENT2.code) == -1.0
 
 
 class TestPriors:
@@ -95,16 +95,3 @@ class TestNormalCdf:
     def test_monotone(self, z, step):
         assert normal_cdf(z + step) >= normal_cdf(z)
 
-
-class TestSampling:
-    def test_deterministic(self, model):
-        a = sample_observation(model, Hypothesis.EVENT1, np.random.default_rng(5))
-        b = sample_observation(model, Hypothesis.EVENT1, np.random.default_rng(5))
-        assert a == b
-
-    def test_unit_variance_and_mean(self, model, rng):
-        draws = np.array(
-            [sample_observation(model, Hypothesis.EVENT2, rng) for _ in range(4000)]
-        )
-        assert draws.mean() == pytest.approx(6.0, abs=0.1)
-        assert draws.std() == pytest.approx(1.0, abs=0.1)

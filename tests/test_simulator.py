@@ -259,11 +259,3 @@ class TestRunDetection:
         with pytest.raises(ValueError):
             run_detection(field, self.model, self.gammas, FusionParams(7, 4), None, rng)
 
-    def test_records_view(self):
-        result = self._run()
-        records = result.records
-        assert len(records) == 200
-        sample = records[0]
-        assert sample.position == tuple(result.field.positions[0])
-        assert sample.truth.code == result.field.truth[0]
-        assert sample.final_decision.code == result.final[0]
