@@ -14,7 +14,6 @@ import numpy as np
 
 from dualdetect import (
     FieldConfig,
-    FusionParams,
     LikelihoodThresholds,
     Rectangle,
     SignalModel,
@@ -47,16 +46,14 @@ def main():
         event2_region=Rectangle(12.0, 12.0, 20.0, 20.0),
         neighborhood_size=5,
         quorum=3,
-        seed=11,
     )
     model = SignalModel(m0=0.0, m1=3.0, m2=6.0)
     lambdas = LikelihoodThresholds(lambda1=0.9829, lambda2=1.8496)
     gammas = gammas_from_lambdas(model, lambdas)
-    params = FusionParams(n=config.neighborhood_size, k=config.quorum)
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(11)
     field = generate_field(config, rng)
-    result = run_detection(field, model, gammas, params, None, rng)
+    result = run_detection(field, model, gammas, None, rng)
 
     print("ground truth ('.' normal, '1' event 1, '2' event 2):")
     print(render(field.positions, field.truth, config.width, config.height))

@@ -145,6 +145,8 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from None
     if params.n > MAX_ORACLE_SENSORS:
         raise ConfigError(f"--n must not exceed {MAX_ORACLE_SENSORS}, got {params.n}")
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(args.trials):

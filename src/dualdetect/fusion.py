@@ -285,14 +285,16 @@ def prob_error_faulty(
     priors: Priors,
     lambdas: LikelihoodThresholds,
     params: FusionParams,
-    faults: FaultModel,
+    faults: FaultModel | None,
 ) -> float:
-    """Bayes error of the fused decision with faulty sensors.
+    """Bayes error of the fused decision, with faulty sensors if given.
 
     Composes the full pipeline: thresholds -> per-sensor metrics ->
-    fault adjustment -> quorum probabilities -> Bayes error. With an
-    all-zero fault model this equals the fault-free error exactly.
+    fault adjustment -> quorum probabilities -> Bayes error. With
+    ``faults=None`` the fault adjustment is skipped; an all-zero fault
+    model gives the same error, only slower.
     """
-    gammas = gammas_from_lambdas(model, lambdas)
-    adjusted = fault_adjust(local_metrics(model, gammas), faults)
-    return prob_error(priors, fusion_quality(adjusted, params))
+    metrics = local_metrics(model, gammas_from_lambdas(model, lambdas))
+    if faults is not None:
+        metrics = fault_adjust(metrics, faults)
+    return prob_error(priors, fusion_quality(metrics, params))

@@ -115,26 +115,20 @@ class ExperimentConfig:
             event2_region=Rectangle(*self.event2_region),
             neighborhood_size=self.neighborhood_size,
             quorum=self.quorum,
-            seed=self.seed,
             include_self=self.include_self,
         )
 
     def fault_model(self) -> FaultModel | None:
         if self.alphas is not None:
             return FaultModel(*self.alphas)
-        if self.p_f > 0.0:
+        # Any nonzero p_f, negative or NaN included, reaches the range check.
+        if self.p_f != 0.0:
             return FaultModel.uniform_split(self.p_f)
         return None
 
-    def fault_probability(self) -> float:
-        model = self.fault_model()
-        return 0.0 if model is None else model.total_probability
-
     def fault_spec(self) -> FaultSpec | None:
         model = self.fault_model()
-        if model is None:
-            return None
-        return FaultSpec(self.fault_probability(), model, self.fault_mode)
+        return None if model is None else FaultSpec(model, self.fault_mode)
 
     def threshold_override(self) -> LikelihoodThresholds | None:
         given = (self.lambda1 is not None, self.lambda2 is not None)
@@ -151,12 +145,14 @@ class ExperimentConfig:
             self.priors()
             self.fusion_params()
             self.field_config()
-            spec = self.fault_spec()
-            if spec is not None and self.alphas is not None and self.p_f > 0.0:
+            self.fault_spec()
+            if self.alphas is not None and self.p_f != 0.0:
                 raise ConfigError("give either p_f or alpha1..alpha6, not both")
             self.threshold_override()
             if self.repetitions < 1:
                 raise ConfigError(f"repetitions must be positive, got {self.repetitions}")
+            if self.seed < 0:
+                raise ConfigError(f"seed must not be negative, got {self.seed}")
         except ConfigError:
             raise
         except (ValueError, TypeError) as exc:
@@ -336,19 +332,17 @@ def run_single(config: ExperimentConfig, output_dir: str | Path | None = None) -
 
     thresholds, optimization = _optimize_for(config)
     gammas = gammas_from_lambdas(config.signal_model(), thresholds)
+    spec = config.fault_spec()
     rng = np.random.default_rng(config.seed)
     field = generate_field(config.field_config(), rng)
-    result = run_detection(
-        field, config.signal_model(), gammas, config.fusion_params(),
-        config.fault_spec(), rng,
-    )
+    result = run_detection(field, config.signal_model(), gammas, spec, rng)
 
     no_fault_flags = np.zeros(config.sensor_count, dtype=bool)
     artifacts: list[tuple[str, np.ndarray, np.ndarray]] = [
         ("local_decisions.csv", result.local, no_fault_flags),
         ("final_decisions.csv", result.clean_final, no_fault_flags),
     ]
-    if config.fault_spec() is not None:
+    if spec is not None:
         artifacts.extend(
             [
                 ("local_decisions_faulty.csv", result.reported, result.faulty),
@@ -370,8 +364,8 @@ def run_single(config: ExperimentConfig, output_dir: str | Path | None = None) -
         "optimizer_objective": "" if optimization is None else optimization.objective_value,
         "optimizer_evaluations": "" if optimization is None else optimization.evaluations,
         "optimizer_converged": "" if optimization is None else optimization.converged,
-        "p_f": config.fault_probability(),
-        "fault_mode": config.fault_mode if config.fault_spec() is not None else "",
+        "p_f": 0.0 if spec is None else spec.model.total_probability,
+        "fault_mode": "" if spec is None else spec.mode,
         "fault_count": result.fault_count,
         "local_error_percent": 100.0 * result.clean_local_error_rate,
         "final_error_percent": 100.0 * result.clean_final_error_rate,
@@ -476,14 +470,13 @@ def run_sweep(base: ExperimentConfig, param: str, values: list[str]) -> SweepSum
         gammas = gammas_from_lambdas(cell.signal_model(), thresholds)
         spec = cell.fault_spec()
         model = cell.signal_model()
-        params = cell.fusion_params()
         field_config = cell.field_config()
 
         sums = np.zeros(4)
         for r in range(cell.repetitions):
             rng = _cell_rng(cell.seed, r, param, label)
             field = generate_field(field_config, rng)
-            result = run_detection(field, model, gammas, params, spec, rng)
+            result = run_detection(field, model, gammas, spec, rng)
             sums += (
                 result.clean_local_error_rate,
                 result.clean_final_error_rate,

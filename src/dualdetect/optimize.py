@@ -12,11 +12,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .decision_rules import LikelihoodThresholds, gammas_from_lambdas, local_metrics
-from .fusion import FaultModel, FusionParams, fusion_quality, prob_error, prob_error_faulty
+from .decision_rules import LikelihoodThresholds
+from .fusion import FaultModel, FusionParams, prob_error_faulty
 from .signal_model import Priors, SignalModel
 
 __all__ = ["OptimizationResult", "minimize_error"]
+
+# Search settings: a GRID_POINTS x GRID_POINTS lattice over LOG_BOUNDS in
+# (ln lambda1, ln lambda2), then compass steps from INITIAL_STEP down to
+# MIN_STEP within MAX_REFINE_EVALUATIONS objective calls.
+LOG_BOUNDS = (-5.0, 5.0)
+GRID_POINTS = 101
+INITIAL_STEP = 0.1
+MIN_STEP = 1e-6
+MAX_REFINE_EVALUATIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -44,44 +53,28 @@ def minimize_error(
     priors: Priors,
     params: FusionParams,
     faults: FaultModel | None = None,
-    *,
-    log_bounds: tuple[float, float] = (-5.0, 5.0),
-    grid_points: int = 101,
-    initial_step: float = 0.1,
-    min_step: float = 1e-6,
-    max_refine_evaluations: int = 10_000,
 ) -> OptimizationResult:
     """Minimize the (optionally fault-adjusted) fused Bayes error.
 
-    Stage 1 evaluates a grid_points x grid_points lattice over
-    log_bounds in (ln lambda1, ln lambda2); ties prefer the smallest
+    Stage 1 evaluates the lattice; ties prefer the smallest
     (ln lambda1, ln lambda2) pair. Stage 2 runs a compass pattern
     search from the best lattice point, halving the step whenever no
-    axis move improves, until the step drops below min_step or the
+    axis move improves, until the step drops below MIN_STEP or the
     refinement evaluation budget is spent.
     """
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be at least 2, got {grid_points}")
-    lo, hi = log_bounds
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"log_bounds must be a finite increasing pair, got {log_bounds!r}")
-
+    lo, hi = LOG_BOUNDS
     evaluations = 0
 
     def objective(log1: float, log2: float) -> float:
         nonlocal evaluations
         evaluations += 1
         lambdas = LikelihoodThresholds(math.exp(log1), math.exp(log2))
-        if faults is None:
-            gammas = gammas_from_lambdas(model, lambdas)
-            quality = fusion_quality(local_metrics(model, gammas), params)
-            return prob_error(priors, quality)
         return prob_error_faulty(model, priors, lambdas, params, faults)
 
     # Stage 1: coarse lattice. Row-major ascending scan plus strict
     # comparison implements the smallest-(u, v) tie break.
     span = hi - lo
-    axis = [lo + span * i / (grid_points - 1) for i in range(grid_points)]
+    axis = [lo + span * i / (GRID_POINTS - 1) for i in range(GRID_POINTS)]
     best_u = best_v = axis[0]
     best_f = math.inf
     for u in axis:
@@ -92,8 +85,8 @@ def minimize_error(
 
     # Stage 2: compass search, clamped to the lattice bounds.
     refine_used = 0
-    step = initial_step
-    while step >= min_step and refine_used + 4 <= max_refine_evaluations:
+    step = INITIAL_STEP
+    while step >= MIN_STEP and refine_used + 4 <= MAX_REFINE_EVALUATIONS:
         candidates = (
             (best_u + step, best_v),
             (best_u - step, best_v),
@@ -118,5 +111,5 @@ def minimize_error(
         lambda2=math.exp(best_v),
         objective_value=best_f,
         evaluations=evaluations,
-        converged=step < min_step,
+        converged=step < MIN_STEP,
     )

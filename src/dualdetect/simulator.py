@@ -93,12 +93,11 @@ class FieldConfig:
     event2_region: Rectangle
     neighborhood_size: int
     quorum: int
-    seed: int
     include_self: bool = True
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("field dimensions must be positive")
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ValueError("field dimensions must be positive and finite")
         if self.sensor_count < 1:
             raise ValueError(f"sensor_count must be positive, got {self.sensor_count}")
         for name in ("event1_region", "event2_region"):
@@ -130,13 +129,13 @@ class SensorField:
 class FaultSpec:
     """How faults are injected into one run."""
 
-    probability: float
     model: FaultModel
     mode: str = "forced-change"
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.probability <= 1.0):
-            raise ValueError(f"fault probability must lie in [0, 1], got {self.probability!r}")
+        total = self.model.total_probability
+        if total > 1.0:
+            raise ValueError(f"fault probability must not exceed 1, got {total!r}")
         if self.mode not in FAULT_MODES:
             raise ValueError(f"fault mode must be one of {FAULT_MODES}, got {self.mode!r}")
 
@@ -225,7 +224,7 @@ def _inject_forced_change(
     local: np.ndarray, spec: FaultSpec, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     count = local.shape[0]
-    n_faulty = int(math.floor(spec.probability * count))
+    n_faulty = int(math.floor(spec.model.total_probability * count))
     faulty = np.zeros(count, dtype=bool)
     reported = local.copy()
     if n_faulty == 0:
@@ -261,22 +260,17 @@ def run_detection(
     field: SensorField,
     model: SignalModel,
     gammas: ObservationThresholds,
-    params: FusionParams,
     faults: FaultSpec | None,
     rng: np.random.Generator,
 ) -> RunResult:
     """Simulate one observation round over a realized field.
 
-    The RNG is consumed in a fixed order (observations, then fault
-    selection, then fault transitions) so a given seed reproduces the
-    run bit for bit.
+    Fusion takes n from the field's neighbor lists and k from its
+    config's quorum. The RNG is consumed in a fixed order (observations,
+    then fault selection, then fault transitions) so a given seed
+    reproduces the run bit for bit.
     """
-    layout = (field.config.neighborhood_size, field.config.quorum)
-    if (params.n, params.k) != layout:
-        raise ValueError(
-            f"fusion (n, k) = ({params.n}, {params.k}) does not match the field's "
-            f"(neighborhood_size, quorum) = {layout}"
-        )
+    k = field.config.quorum
     means = model.means_for_codes(field.truth)
     observations = means + rng.standard_normal(field.config.sensor_count)
     local = classify_observations(observations, gammas)
@@ -289,8 +283,8 @@ def run_detection(
     else:
         reported, faulty = _inject_alpha_table(local, faults, rng)
 
-    final = fuse_decisions(reported, field.neighbors, params.k)
-    clean_final = final if faults is None else fuse_decisions(local, field.neighbors, params.k)
+    final = fuse_decisions(reported, field.neighbors, k)
+    clean_final = final if faults is None else fuse_decisions(local, field.neighbors, k)
 
     truth = field.truth
     return RunResult(

@@ -155,6 +155,17 @@ class TestKeyParity:
         assert main(["optimize", *argv]) == 2
         assert "bad value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--p-f", "-0.3"],
+        ["simulate", "--p-f", "nan"],
+        ["simulate", "--seed", "-1"],
+        ["simulate", "--width", "inf"],
+        ["sweep", "--param", "p_f", "--values=-0.3"],
+    ])
+    def test_out_of_range_flag_value_exit_two(self, argv, capsys):
+        assert main(argv) == 2
+        assert "error" in capsys.readouterr().err
+
 
 class TestConfigValidation:
     def test_quorum_larger_than_neighborhood(self):
@@ -171,8 +182,7 @@ class TestConfigValidation:
 
     def test_alphas_define_fault_probability(self):
         config = ExperimentConfig(alphas=(0.02,) * 6).validate()
-        assert config.fault_probability() == pytest.approx(0.12)
-        assert config.fault_spec() is not None
+        assert config.fault_spec().model.total_probability == pytest.approx(0.12)
 
     def test_defaults_are_valid(self):
         ExperimentConfig().validate()
@@ -347,7 +357,9 @@ class TestCli:
         assert code == 0
         assert "agreement" in captured.out
 
-    @pytest.mark.parametrize("argv", [["--n", "13"], ["--n", "3", "--k", "5"]])
+    @pytest.mark.parametrize("argv", [
+        ["--n", "13"], ["--n", "3", "--k", "5"], ["--trials", "0"], ["--trials", "-3"],
+    ])
     def test_oracle_check_bad_arguments_exit_two(self, argv, capsys):
         assert main(["oracle-check", *argv]) == 2
         assert "error" in capsys.readouterr().err

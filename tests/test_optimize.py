@@ -13,6 +13,7 @@ from dualdetect import (
     gammas_from_lambdas,
     local_metrics,
     minimize_error,
+    optimize,
     prob_error,
     prob_error_faulty,
 )
@@ -55,14 +56,15 @@ class TestSearchBehavior:
                 lambdas = LikelihoodThresholds(math.exp(u), math.exp(v))
                 assert result.objective_value <= _objective(model, priors, params, lambdas) + 1e-15
 
-    def test_respects_evaluation_budget(self, model, priors, params):
-        result = minimize_error(
-            model, priors, params, grid_points=51, max_refine_evaluations=200
-        )
+    def test_respects_evaluation_budget(self, model, priors, params, monkeypatch):
+        monkeypatch.setattr(optimize, "GRID_POINTS", 51)
+        monkeypatch.setattr(optimize, "MAX_REFINE_EVALUATIONS", 200)
+        result = minimize_error(model, priors, params)
         assert result.evaluations <= 51 * 51 + 200
 
-    def test_stays_in_bounds(self, model, priors, params):
-        result = minimize_error(model, priors, params, log_bounds=(-1.0, 1.0))
+    def test_stays_in_bounds(self, model, priors, params, monkeypatch):
+        monkeypatch.setattr(optimize, "LOG_BOUNDS", (-1.0, 1.0))
+        result = minimize_error(model, priors, params)
         assert -1.0 - 1e-12 <= math.log(result.lambda1) <= 1.0 + 1e-12
         assert -1.0 - 1e-12 <= math.log(result.lambda2) <= 1.0 + 1e-12
 

@@ -9,7 +9,6 @@ from dualdetect import (
     FaultModel,
     FaultSpec,
     FieldConfig,
-    FusionParams,
     Rectangle,
     SignalModel,
     fuse_decisions,
@@ -30,7 +29,6 @@ def default_config(**overrides):
         event2_region=Rectangle(12.0, 12.0, 20.0, 20.0),
         neighborhood_size=5,
         quorum=3,
-        seed=1,
     )
     values.update(overrides)
     return FieldConfig(**values)
@@ -74,7 +72,7 @@ class TestFieldConfig:
                 width=20.0, height=20.0, sensor_count=5,
                 event1_region=Rectangle(0.0, 0.0, 10.0, 10.0),
                 event2_region=Rectangle(12.0, 12.0, 20.0, 20.0),
-                neighborhood_size=5, quorum=3, seed=1, include_self=False,
+                neighborhood_size=5, quorum=3, include_self=False,
             )
 
 
@@ -179,13 +177,12 @@ class TestRunDetection:
         self.gammas = gammas_from_lambdas(
             self.model, LikelihoodThresholds(0.9829, 1.8496)
         )
-        self.params = FusionParams(5, 3)
 
     def _run(self, config=None, faults=None, seed=7):
         config = config or default_config()
         rng = np.random.default_rng(seed)
         field = generate_field(config, rng)
-        return run_detection(field, self.model, self.gammas, self.params, faults, rng)
+        return run_detection(field, self.model, self.gammas, faults, rng)
 
     def test_no_faults_keeps_reports_clean(self):
         result = self._run()
@@ -205,12 +202,12 @@ class TestRunDetection:
         config = default_config(neighborhood_size=1, quorum=1)
         rng = np.random.default_rng(5)
         field = generate_field(config, rng)
-        result = run_detection(field, model, gammas, FusionParams(1, 1), None, rng)
+        result = run_detection(field, model, gammas, None, rng)
         assert result.local_error_rate == 0.0
         assert result.final_error_rate == 0.0
 
     def test_forced_change_count_exact(self):
-        faults = FaultSpec(0.12, FaultModel.uniform_split(0.12), "forced-change")
+        faults = FaultSpec(FaultModel.uniform_split(0.12), "forced-change")
         result = self._run(faults=faults)
         assert result.fault_count == math.floor(0.12 * 200)
         changed = result.reported != result.local
@@ -218,13 +215,13 @@ class TestRunDetection:
         np.testing.assert_array_equal(changed, result.faulty)
 
     def test_forced_change_flips_every_selected_sensor(self):
-        faults = FaultSpec(0.3, FaultModel.uniform_split(0.3), "forced-change")
+        faults = FaultSpec(FaultModel.uniform_split(0.3), "forced-change")
         result = self._run(faults=faults)
         assert result.fault_count == 60
         assert np.all(result.reported[result.faulty] != result.local[result.faulty])
 
     def test_alpha_table_marks_changed_sensors(self):
-        faults = FaultSpec(0.3, FaultModel.uniform_split(0.3), "alpha-table")
+        faults = FaultSpec(FaultModel.uniform_split(0.3), "alpha-table")
         result = self._run(faults=faults)
         np.testing.assert_array_equal(result.faulty, result.reported != result.local)
         # each label has two outgoing arcs of P_f/6, so a sensor changes
@@ -232,7 +229,7 @@ class TestRunDetection:
         assert 0.04 <= result.fault_count / 200 <= 0.18
 
     def test_faults_leave_clean_columns_untouched(self):
-        faults = FaultSpec(0.24, FaultModel.uniform_split(0.24), "forced-change")
+        faults = FaultSpec(FaultModel.uniform_split(0.24), "forced-change")
         clean = self._run()
         faulty = self._run(faults=faults)
         np.testing.assert_array_equal(clean.local, faulty.local)
@@ -251,11 +248,4 @@ class TestRunDetection:
         b = self._run(seed=123)
         np.testing.assert_array_equal(a.observations, b.observations)
         np.testing.assert_array_equal(a.final, b.final)
-
-    def test_params_must_match_field(self):
-        config = default_config()
-        rng = np.random.default_rng(1)
-        field = generate_field(config, rng)
-        with pytest.raises(ValueError):
-            run_detection(field, self.model, self.gammas, FusionParams(7, 4), None, rng)
 
