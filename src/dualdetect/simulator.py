@@ -168,26 +168,72 @@ class RunResult:
 
 
 def _nearest_neighbors(positions: np.ndarray, n: int, include_self: bool) -> np.ndarray:
-    """Indices of the n nearest sensors per row, ties broken by index.
+    """Indices of each sensor's n nearest sensors, nearest first.
 
-    Works on the squared-distance matrix: cheap candidate selection via
-    argpartition, then an exact (distance, index) lexicographic sort of
-    the candidates so tie handling is deterministic.
+    Sensors are ordered by squared Euclidean distance ``dx*dx + dy*dy``
+    in float64, ties going to the lower index, so a coincident sensor
+    with a lower index sorts ahead of the sensor itself. With
+    ``include_self`` false the sensor itself is never listed.
+
+    The search is a cell list (Allen & Tildesley, *Computer Simulation
+    of Liquids*). Square cells of side h hold about n sensors each on
+    average, and a sensor's candidates are the sensors in the
+    (2r+1)x(2r+1) block of cells around its own, starting at r = 1.
+    Every sensor outside the block lies at least r*h away, so a row
+    whose n-th candidate is nearer than that is exact. The remaining
+    rows are searched again with r one larger, until the block covers
+    the whole grid. Memory is O(N*n) for layouts as even as a uniform
+    scatter; a dense cluster makes the blocks around it large.
     """
     count = positions.shape[0]
-    deltas = positions[:, None, :] - positions[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", deltas, deltas)
-    if not include_self:
-        np.fill_diagonal(d2, np.inf)
-    m = min(count, max(2 * n, n + 16))
-    if m >= count:
-        candidates = np.broadcast_to(np.arange(count), (count, count)).copy()
-        cand_d2 = d2
-    else:
-        candidates = np.argpartition(d2, m - 1, axis=1)[:, :m]
-        cand_d2 = np.take_along_axis(d2, candidates, axis=1)
-    order = np.lexsort((candidates, cand_d2), axis=1)[:, :n]
-    return np.take_along_axis(candidates, order, axis=1)
+    lo = positions.min(axis=0)
+    span = positions.max(axis=0) - lo
+    # The second term caps the cells along a thin strip, so there are at
+    # most 3 * count / n + 1 cells; sensors all at one point share one.
+    h = max(math.sqrt(span[0] * span[1] * n / count), span.max() * n / count) or 1.0
+    shape = (span // h).astype(np.int64) + 1
+    cell_xy = np.minimum(((positions - lo) // h).astype(np.int64), shape - 1)
+    cell = cell_xy[:, 0] * shape[1] + cell_xy[:, 1]
+    by_cell = np.argsort(cell, kind="stable")
+    bounds = np.searchsorted(cell[by_cell], np.arange(shape[0] * shape[1] + 1))
+    # Rounding in the floor division can put a sensor past its cell's edge
+    # by a few ulps of the span, and the span is at most count / n cells.
+    slack = 1.0 - 1e-14 * (count + 1)
+    # Row `count` pads candidate lists; its distance is always inf.
+    padded = np.vstack([positions, np.full((1, 2), np.inf)])
+
+    neighbors = np.empty((count, n), dtype=np.int64)
+    rows = np.arange(count)
+    r = 1
+    while rows.size:
+        offsets = np.arange(-r, r + 1)
+        bx = cell_xy[rows, 0, None] + offsets
+        by = cell_xy[rows, 1, None] + offsets
+        inside = (((bx >= 0) & (bx < shape[0]))[:, :, None]
+                  & ((by >= 0) & (by < shape[1]))[:, None, :]).reshape(rows.size, -1)
+        block = (bx[:, :, None] * shape[1] + by[:, None, :]).reshape(rows.size, -1)
+        block[~inside] = 0
+        starts = bounds[block]
+        lengths = (bounds[block + 1] - starts) * inside
+        per_row = lengths.sum(axis=1)
+        starts, lengths = starts.ravel(), lengths.ravel()
+        # Each row's candidates, concatenated row after row, as positions in by_cell.
+        ends = np.cumsum(lengths)
+        flat = np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
+        cand = np.full((rows.size, per_row.max()), count)
+        cand[np.arange(cand.shape[1]) < per_row[:, None]] = by_cell[flat]
+
+        d2 = np.square(positions[rows, 0, None] - padded[cand, 0])
+        d2 += np.square(positions[rows, 1, None] - padded[cand, 1])
+        if not include_self:
+            d2[cand == rows[:, None]] = np.inf
+        best = np.lexsort((cand, d2), axis=1)[:, :n]
+        nth = np.take_along_axis(d2, best[:, -1:], axis=1)[:, 0]
+        done = (nth < (r * h) ** 2 * slack) | (r >= shape.max() - 1)
+        neighbors[rows[done]] = np.take_along_axis(cand[done], best[done], axis=1)
+        rows = rows[~done]
+        r += 1
+    return neighbors
 
 
 def generate_field(config: FieldConfig, rng: np.random.Generator) -> SensorField:

@@ -1,6 +1,7 @@
 """Spatial simulator: field generation, neighborhoods, fault injection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,26 @@ def default_config(**overrides):
     )
     values.update(overrides)
     return FieldConfig(**values)
+
+
+def _layout(name, count, rng):
+    """Sensor positions: a uniform field, a lattice full of duplicates, or a thin strip."""
+    if name == "uniform":
+        return rng.uniform(0.0, 20.0, size=(count, 2))
+    if name == "lattice":
+        return rng.integers(0, 5, size=(count, 2)).astype(float)
+    return rng.uniform((0.0, 0.0), (50.0, 3.0), size=(count, 2))
+
+
+def _oracle_neighbors(positions, n, include_self):
+    """Brute force: sort every row of the full N x N matrix by (d2, index)."""
+    dx = positions[:, None, 0] - positions[None, :, 0]
+    dy = positions[:, None, 1] - positions[None, :, 1]
+    d2 = dx * dx + dy * dy
+    if not include_self:
+        np.fill_diagonal(d2, np.inf)
+    index = np.broadcast_to(np.arange(len(positions)), d2.shape)
+    return np.lexsort((index, d2), axis=1)[:, :n]
 
 
 class TestRectangle:
@@ -100,6 +121,19 @@ class TestGenerateField:
         np.testing.assert_array_equal(a.positions, b.positions)
         np.testing.assert_array_equal(a.neighbors, b.neighbors)
 
+    def test_large_field_memory_is_linear(self):
+        # An N x N distance matrix alone would take 3.2 GB here.
+        config = default_config(sensor_count=20_000)
+        tracemalloc.start()
+        try:
+            field = generate_field(config, np.random.default_rng(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert field.neighbors.shape == (20_000, 5)
+        np.testing.assert_array_equal(field.neighbors[:, 0], np.arange(20_000))
+        assert peak < 150 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
 
 class TestNearestNeighbors:
     def test_line_with_self(self):
@@ -139,6 +173,55 @@ class TestNearestNeighbors:
         for i in range(60):
             order = sorted(range(60), key=lambda j: (d2[i, j], j))
             np.testing.assert_array_equal(neighbors[i], order[:5])
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    @pytest.mark.parametrize("count", [2, 3, 9, 40, 150, 600])
+    @pytest.mark.parametrize("layout", ["uniform", "lattice", "strip"])
+    def test_matches_oracle(self, layout, count, include_self):
+        rng = np.random.default_rng(count)
+        positions = _layout(layout, count, rng)
+        for n in range(1, min(12, count - (not include_self)) + 1):
+            np.testing.assert_array_equal(
+                _nearest_neighbors(positions, n, include_self),
+                _oracle_neighbors(positions, n, include_self),
+                err_msg=f"n={n}",
+            )
+
+    def test_lattice_ties_keep_lowest_indices(self):
+        # Many sensors share each lattice point: every tie must go to
+        # the lower index, not to whichever tied candidates a partial
+        # selection happened to keep.
+        positions = np.random.default_rng(12).integers(0, 3, size=(68, 2)).astype(float)
+        neighbors = _nearest_neighbors(positions, 5, include_self=True)
+        np.testing.assert_array_equal(neighbors[15], [15, 26, 40, 65, 2])
+        np.testing.assert_array_equal(neighbors, _oracle_neighbors(positions, 5, True))
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    @pytest.mark.parametrize("layout", ["point", "horizontal", "vertical"])
+    def test_degenerate_layouts(self, layout, include_self):
+        count = 40
+        along = np.random.default_rng(5).uniform(0.0, 20.0, size=count)
+        positions = {
+            "point": np.full((count, 2), 3.0),
+            "horizontal": np.column_stack([along, np.full(count, 7.0)]),
+            "vertical": np.column_stack([np.full(count, 7.0), along]),
+        }[layout]
+        largest = count if include_self else count - 1
+        for n in (1, 5, largest):
+            np.testing.assert_array_equal(
+                _nearest_neighbors(positions, n, include_self),
+                _oracle_neighbors(positions, n, include_self),
+                err_msg=f"n={n}",
+            )
+
+    @pytest.mark.parametrize("layout", ["uniform", "lattice", "strip"])
+    def test_whole_field_as_neighborhood(self, layout):
+        positions = _layout(layout, 30, np.random.default_rng(8))
+        for n, include_self in ((30, True), (29, False)):
+            np.testing.assert_array_equal(
+                _nearest_neighbors(positions, n, include_self),
+                _oracle_neighbors(positions, n, include_self),
+            )
 
 
 class TestFuseDecisions:
