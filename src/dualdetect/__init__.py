@@ -17,7 +17,6 @@ from .decision_rules import (
     LikelihoodThresholds,
     LocalMetrics,
     ObservationThresholds,
-    classify_observation,
     classify_observations,
     gammas_from_lambdas,
     local_metrics,
@@ -67,7 +66,6 @@ __all__ = [
     "LikelihoodThresholds",
     "LocalMetrics",
     "ObservationThresholds",
-    "classify_observation",
     "classify_observations",
     "gammas_from_lambdas",
     "local_metrics",

@@ -15,6 +15,10 @@ The decision regions are
 
 which covers every ordering of the three thresholds, including the
 degenerate ones where the first-event interval is empty.
+
+The closed form works elementwise: the likelihood levels may be scalars
+or arrays of one broadcast shape, and every threshold and metric then
+has that shape. Validation holds for every entry.
 """
 
 from __future__ import annotations
@@ -24,19 +28,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_model import Hypothesis, SignalModel, normal_cdf
+from .signal_model import Hypothesis, SignalModel, elementwise, normal_cdf
 
 __all__ = [
     "LikelihoodThresholds",
     "ObservationThresholds",
     "LocalMetrics",
     "gammas_from_lambdas",
-    "classify_observation",
     "classify_observations",
     "local_metrics",
 ]
 
 _UNIT_TOL = 1e-9
+
+_log = elementwise(math.log)
+
+
+def _require(ok: np.ndarray, value: np.ndarray, message: str) -> None:
+    """Raise ValueError quoting the first entry of ``value`` where ``ok`` fails."""
+    if not np.all(ok):
+        bad = np.asarray(value)[~ok][0].item()
+        raise ValueError(f"{message}, got {bad!r}")
 
 
 @dataclass(frozen=True)
@@ -44,17 +56,18 @@ class LikelihoodThresholds:
     """Likelihood-ratio test levels for the two events; both positive.
 
     lambda1 gates "first event vs quiet", lambda2 gates "second event
-    vs quiet"; their ratio gates "second vs first".
+    vs quiet"; their ratio gates "second vs first". Either may be an
+    array; the two then broadcast against each other.
     """
 
-    lambda1: float
-    lambda2: float
+    lambda1: float | np.ndarray
+    lambda2: float | np.ndarray
 
     def __post_init__(self) -> None:
         for name in ("lambda1", "lambda2"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+            value = np.asarray(getattr(self, name))
+            _require(np.isfinite(value) & (value > 0.0), value,
+                     f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -67,19 +80,19 @@ class ObservationThresholds:
     classification rule.
     """
 
-    gamma1: float
-    gamma2: float
-    gamma3: float
+    gamma1: float | np.ndarray
+    gamma2: float | np.ndarray
+    gamma3: float | np.ndarray
 
     def __post_init__(self) -> None:
         for name in ("gamma1", "gamma2", "gamma3"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            value = np.asarray(getattr(self, name))
+            _require(np.isfinite(value), value, f"{name} must be finite")
 
     @property
-    def event2_cutoff(self) -> float:
+    def event2_cutoff(self) -> float | np.ndarray:
         """Lowest observation that is classified as the second event."""
-        return max(self.gamma2, self.gamma3)
+        return np.maximum(self.gamma2, self.gamma3)
 
 
 def gammas_from_lambdas(
@@ -91,25 +104,16 @@ def gammas_from_lambdas(
     rearranges to x >= gamma1, and similarly for the other two pairwise
     tests. The mean gaps divide, so strict mean ordering is required.
     """
-    log1 = math.log(thresholds.lambda1)
-    log2 = math.log(thresholds.lambda2)
+    log1 = _log(thresholds.lambda1)
+    log2 = _log(thresholds.lambda2)
     gamma1 = log1 / (model.m1 - model.m0) + (model.m1 + model.m0) / 2.0
     gamma2 = log2 / (model.m2 - model.m0) + (model.m2 + model.m0) / 2.0
     gamma3 = (log2 - log1) / (model.m2 - model.m1) + (model.m2 + model.m1) / 2.0
     return ObservationThresholds(gamma1, gamma2, gamma3)
 
 
-def classify_observation(x: float, gammas: ObservationThresholds) -> Hypothesis:
-    """Ternary decision for a single observation."""
-    if x >= gammas.event2_cutoff:
-        return Hypothesis.EVENT2
-    if gammas.gamma1 <= x < gammas.gamma3:
-        return Hypothesis.EVENT1
-    return Hypothesis.NORMAL
-
-
 def classify_observations(x: np.ndarray, gammas: ObservationThresholds) -> np.ndarray:
-    """Vectorized form of :func:`classify_observation` returning int8 codes."""
+    """Ternary decision codes (int8: 0, +1, -1) for an array of observations."""
     x = np.asarray(x)
     codes = np.zeros(x.shape, dtype=np.int8)
     second = x >= gammas.event2_cutoff
@@ -127,25 +131,25 @@ class LocalMetrics:
     p_m1 / p_m2 the cross-event confusions (declaring the other event),
     p_f1 / p_f2 the false alarms from the quiet state. Each probability
     lies in [0, 1] and the per-hypothesis pairs cannot exceed one
-    combined, since they are masses of disjoint decision regions.
+    combined, since they are masses of disjoint decision regions. The
+    fields may be arrays; every entry is checked.
     """
 
-    p_d1: float
-    p_d2: float
-    p_f1: float
-    p_f2: float
-    p_m1: float
-    p_m2: float
+    p_d1: float | np.ndarray
+    p_d2: float | np.ndarray
+    p_f1: float | np.ndarray
+    p_f2: float | np.ndarray
+    p_m1: float | np.ndarray
+    p_m2: float | np.ndarray
 
     def __post_init__(self) -> None:
         for name in ("p_d1", "p_d2", "p_f1", "p_f2", "p_m1", "p_m2"):
-            value = getattr(self, name)
-            if not (-_UNIT_TOL <= value <= 1.0 + _UNIT_TOL):
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+            value = np.asarray(getattr(self, name))
+            _require((value >= -_UNIT_TOL) & (value <= 1.0 + _UNIT_TOL), value,
+                     f"{name} must lie in [0, 1]")
         for a, b in (("p_d1", "p_m1"), ("p_d2", "p_m2"), ("p_f1", "p_f2")):
-            total = getattr(self, a) + getattr(self, b)
-            if total > 1.0 + _UNIT_TOL:
-                raise ValueError(f"{a} + {b} must not exceed 1, got {total!r}")
+            total = np.asarray(getattr(self, a) + getattr(self, b))
+            _require(total <= 1.0 + _UNIT_TOL, total, f"{a} + {b} must not exceed 1")
 
 
 def local_metrics(model: SignalModel, gammas: ObservationThresholds) -> LocalMetrics:
@@ -157,13 +161,14 @@ def local_metrics(model: SignalModel, gammas: ObservationThresholds) -> LocalMet
     the hypothesis mean.
     """
     cutoff = gammas.event2_cutoff
+    nonempty = gammas.gamma3 > gammas.gamma1
 
-    def first_mass(mean: float) -> float:
-        if gammas.gamma3 <= gammas.gamma1:
-            return 0.0
-        return normal_cdf(gammas.gamma3 - mean) - normal_cdf(gammas.gamma1 - mean)
+    def first_mass(mean: float) -> float | np.ndarray:
+        inside = normal_cdf(gammas.gamma3 - mean) - normal_cdf(gammas.gamma1 - mean)
+        # [()] turns where's 0-d result back into a scalar for scalar input.
+        return np.where(nonempty, inside, 0.0)[()]
 
-    def second_mass(mean: float) -> float:
+    def second_mass(mean: float) -> float | np.ndarray:
         return 1.0 - normal_cdf(cutoff - mean)
 
     return LocalMetrics(

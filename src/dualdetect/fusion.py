@@ -9,6 +9,9 @@ opposite event, and the remaining n - i - j abstentions.
 Sensor faults are modeled as a per-label transition matrix applied
 independently to each sensor's decision before fusion; the closed-form
 adjustment below propagates that matrix through the per-sensor metrics.
+
+Like the local metrics, every closed form here works elementwise on
+scalars or on arrays of one broadcast shape.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .decision_rules import (
     gammas_from_lambdas,
     local_metrics,
 )
-from .signal_model import Hypothesis, Priors, SignalModel
+from .signal_model import Hypothesis, Priors, SignalModel, elementwise
 
 __all__ = [
     "FusionParams",
@@ -45,6 +48,8 @@ __all__ = [
 MAX_ORACLE_SENSORS = 12
 
 _UNIT_TOL = 1e-9
+
+_pow = elementwise(pow, 2)
 
 
 @dataclass(frozen=True)
@@ -135,11 +140,11 @@ class FusionQuality:
     event 1 / 2 when the truth is quiet; q_f is their sum.
     """
 
-    q_d1: float
-    q_d2: float
-    q_f1: float
-    q_f2: float
-    q_f: float
+    q_d1: float | np.ndarray
+    q_d2: float | np.ndarray
+    q_f1: float | np.ndarray
+    q_f2: float | np.ndarray
+    q_f: float | np.ndarray
 
 
 class FusionOutcome(NamedTuple):
@@ -150,7 +155,14 @@ class FusionOutcome(NamedTuple):
     normal: float
 
 
-def _quorum_tail(primary: float, secondary: float, n: int, k: int) -> float:
+def _powers(x: float | np.ndarray, exponents: range) -> dict[int, float | np.ndarray]:
+    """``{e: x**e}``, each rounded as Python's float power rounds it."""
+    return {e: 1.0 if e == 0 else x if e == 1 else _pow(x, e) for e in exponents}
+
+
+def _quorum_tail(
+    primary: float | np.ndarray, secondary: float | np.ndarray, n: int, k: int
+) -> float | np.ndarray:
     """P(the fused label is the primary event) for i.i.d. ternary votes.
 
     Summed as a trinomial: i primary votes (outer), j secondary votes
@@ -158,20 +170,19 @@ def _quorum_tail(primary: float, secondary: float, n: int, k: int) -> float:
     event reaches quorum and the secondary event either misses quorum
     or has fewer votes, which is the tie rule of :func:`fuse_decisions`.
     When 2k > n the secondary event can never reach quorum alongside
-    the primary one, so every pattern with i >= k counts.
+    the primary one, so every pattern with i >= k counts. Each power is
+    computed once per call and the terms are added in pattern order.
     """
     rest = 1.0 - primary - secondary
+    p = _powers(primary, range(k, n + 1))
+    s = _powers(secondary, range(n - k + 1))
+    r = _powers(rest, range(n - k + 1))
     total = 0.0
     for i in range(k, n + 1):
         for j in range(0, n - i + 1):
             if j >= k and j >= i:
                 continue
-            total += (
-                math.comb(n, i) * math.comb(n - i, j)
-                * primary**i
-                * secondary**j
-                * rest ** (n - i - j)
-            )
+            total += math.comb(n, i) * math.comb(n - i, j) * p[i] * s[j] * r[n - i - j]
     return total
 
 
@@ -245,7 +256,7 @@ def enumerate_fusion_oracle(
     )
 
 
-def prob_error(priors: Priors, quality: FusionQuality) -> float:
+def prob_error(priors: Priors, quality: FusionQuality) -> float | np.ndarray:
     """Bayesian probability that the fused decision is wrong."""
     return (
         priors.q0 * quality.q_f
@@ -286,13 +297,14 @@ def prob_error_faulty(
     lambdas: LikelihoodThresholds,
     params: FusionParams,
     faults: FaultModel | None,
-) -> float:
+) -> float | np.ndarray:
     """Bayes error of the fused decision, with faulty sensors if given.
 
     Composes the full pipeline: thresholds -> per-sensor metrics ->
     fault adjustment -> quorum probabilities -> Bayes error. With
     ``faults=None`` the fault adjustment is skipped; an all-zero fault
-    model gives the same error, only slower.
+    model gives the same error, only slower. Array thresholds give an
+    array of errors, one per entry.
     """
     metrics = local_metrics(model, gammas_from_lambdas(model, lambdas))
     if faults is not None:

@@ -3,9 +3,9 @@
 Configuration files are flat ``key = value`` text with ``#`` comments.
 Every key can also be supplied (and overridden) on the command line.
 A single run writes per-sensor scatter CSVs plus a summary; a sweep
-varies one parameter, re-optimizes the likelihood thresholds for each
-value, averages the error rates over seeded repetitions, and writes one
-CSV row per value.
+varies one parameter, optimizes the likelihood thresholds once per
+distinct objective among its values, averages the error rates over
+seeded repetitions, and writes one CSV row per value.
 """
 
 from __future__ import annotations
@@ -272,16 +272,21 @@ class SingleRunArtifacts:
     paths: tuple[Path, ...]
 
 
-def _optimize_for(config: ExperimentConfig) -> tuple[LikelihoodThresholds, OptimizationResult | None]:
-    override = config.threshold_override()
-    if override is not None:
-        return override, None
-    result = minimize_error(
+def _objective(config: ExperimentConfig) -> tuple:
+    """Everything the threshold search depends on, in its argument order."""
+    return (
         config.signal_model(),
         config.priors(),
         config.fusion_params(),
         config.fault_model(),
     )
+
+
+def _optimize_for(config: ExperimentConfig) -> tuple[LikelihoodThresholds, OptimizationResult | None]:
+    override = config.threshold_override()
+    if override is not None:
+        return override, None
+    result = minimize_error(*_objective(config))
     return result.thresholds, result
 
 
@@ -453,20 +458,27 @@ def _cell_rng(base_seed: int, run_index: int, param: str, label: str) -> np.rand
 def run_sweep(base: ExperimentConfig, param: str, values: list[str]) -> SweepSummary:
     """Average seeded runs for each value of one swept parameter.
 
-    Each cell re-optimizes the thresholds for its own parameters (using
-    the fault-adjusted objective when faults are configured), then runs
-    ``repetitions`` independent field realizations. Error columns are
-    percentages: local/final decision errors before (ld_bf, fd_bf) and
-    after (ld_af, fd_af) fault injection.
+    Each cell uses the thresholds optimized for its own objective (the
+    fault-adjusted one when faults are configured), searched once per
+    distinct objective: cells that differ only in, say, sensor count
+    share one search. Each cell then runs ``repetitions`` independent
+    field realizations. Error columns are percentages: local/final
+    decision errors before (ld_bf, fd_bf) and after (ld_af, fd_af)
+    fault injection.
     """
     base = base.validate()
     if not values:
         raise ConfigError("sweep needs at least one value")
     rows = []
+    # Thresholds per distinct (objective, override), filled on first use.
+    searches: dict[tuple, tuple[LikelihoodThresholds, OptimizationResult | None]] = {}
     for raw in values:
         cell, label = _apply_sweep_value(base, param, raw)
         cell = cell.validate()
-        thresholds, optimization = _optimize_for(cell)
+        key = (_objective(cell), cell.threshold_override())
+        if key not in searches:
+            searches[key] = _optimize_for(cell)
+        thresholds, optimization = searches[key]
         gammas = gammas_from_lambdas(cell.signal_model(), thresholds)
         spec = cell.fault_spec()
         model = cell.signal_model()

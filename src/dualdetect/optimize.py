@@ -4,7 +4,9 @@ The objective Pe(lambda1, lambda2) has no useful closed-form minimizer,
 so the search runs in log-threshold space in two stages: a coarse
 uniform grid to locate the basin, then a derivative-free pattern search
 that shrinks its step until the requested resolution. Both stages are
-fully deterministic.
+fully deterministic, and both are scored in array calls of the closed
+form: the whole lattice in one call, each compass round's four
+candidates in one call.
 """
 
 from __future__ import annotations
@@ -12,9 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .decision_rules import LikelihoodThresholds
 from .fusion import FaultModel, FusionParams, prob_error_faulty
-from .signal_model import Priors, SignalModel
+from .signal_model import Priors, SignalModel, elementwise
 
 __all__ = ["OptimizationResult", "minimize_error"]
 
@@ -26,6 +30,8 @@ GRID_POINTS = 101
 INITIAL_STEP = 0.1
 MIN_STEP = 1e-6
 MAX_REFINE_EVALUATIONS = 10_000
+
+_exp = elementwise(math.exp)
 
 
 @dataclass(frozen=True)
@@ -65,42 +71,47 @@ def minimize_error(
     lo, hi = LOG_BOUNDS
     evaluations = 0
 
-    def objective(log1: float, log2: float) -> float:
+    def objective(log1: np.ndarray, log2: np.ndarray) -> np.ndarray:
+        """Pe at every broadcast (ln lambda1, ln lambda2) pair."""
         nonlocal evaluations
-        evaluations += 1
-        lambdas = LikelihoodThresholds(math.exp(log1), math.exp(log2))
-        return prob_error_faulty(model, priors, lambdas, params, faults)
+        lambdas = LikelihoodThresholds(_exp(log1), _exp(log2))
+        values = prob_error_faulty(model, priors, lambdas, params, faults)
+        evaluations += values.size
+        return values
 
-    # Stage 1: coarse lattice. Row-major ascending scan plus strict
-    # comparison implements the smallest-(u, v) tie break.
+    # Stage 1: coarse lattice, rows over ln lambda1 and columns over
+    # ln lambda2. The first row-major argmin is the smallest-(u, v)
+    # tie break.
     span = hi - lo
     axis = [lo + span * i / (GRID_POINTS - 1) for i in range(GRID_POINTS)]
-    best_u = best_v = axis[0]
-    best_f = math.inf
-    for u in axis:
-        for v in axis:
-            f = objective(u, v)
-            if f < best_f:
-                best_f, best_u, best_v = f, u, v
+    column = np.array(axis)
+    grid = objective(column[:, None], column[None, :])
+    best_i, best_j = np.unravel_index(np.argmin(grid), grid.shape)
+    best_u, best_v = axis[best_i], axis[best_j]
+    best_f = float(grid[best_i, best_j])
 
-    # Stage 2: compass search, clamped to the lattice bounds.
+    # Stage 2: compass search, clamped to the lattice bounds. The lowest
+    # of the four candidates moves the centre if it beats it; ties go to
+    # the earlier candidate.
     refine_used = 0
     step = INITIAL_STEP
     while step >= MIN_STEP and refine_used + 4 <= MAX_REFINE_EVALUATIONS:
-        candidates = (
-            (best_u + step, best_v),
-            (best_u - step, best_v),
-            (best_u, best_v + step),
-            (best_u, best_v - step),
-        )
+        candidates = [
+            (min(max(u, lo), hi), min(max(v, lo), hi))
+            for u, v in (
+                (best_u + step, best_v),
+                (best_u - step, best_v),
+                (best_u, best_v + step),
+                (best_u, best_v - step),
+            )
+        ]
+        us, vs = np.array(candidates).T
+        values = objective(us, vs).tolist()
+        refine_used += 4
         move = None
-        for u, v in candidates:
-            u = min(max(u, lo), hi)
-            v = min(max(v, lo), hi)
-            f = objective(u, v)
-            refine_used += 1
+        for candidate, f in zip(candidates, values):
             if f < best_f:
-                best_f, move = f, (u, v)
+                best_f, move = f, candidate
         if move is None:
             step /= 2.0
         else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,25 @@ class Priors:
             raise ValueError(f"priors must sum to 1 within {_PRIOR_SUM_TOL}, got {total!r}")
 
 
-def normal_cdf(z: float) -> float:
-    """Standard normal CDF, accurate to machine precision via erf."""
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+def elementwise(func: Callable[..., float], nin: int = 1) -> Callable[..., np.ndarray]:
+    """Map a scalar ``math`` function over arrays, returning float64.
+
+    numpy's own float64 log, exp and power kernels may round the last
+    bit differently from the C library, and differently from one CPU to
+    the next. Calling the library function on each element keeps every
+    array entry equal to the scalar computation.
+    """
+    ufunc = np.frompyfunc(func, nin, 1)
+
+    def apply(*args: object) -> np.ndarray:
+        return np.asarray(ufunc(*args), dtype=np.float64)
+
+    return apply
+
+
+_erf = elementwise(math.erf)
+
+
+def normal_cdf(z: float | np.ndarray) -> np.ndarray:
+    """Standard normal CDF, elementwise, accurate to machine precision via erf."""
+    return 0.5 * (1.0 + _erf(z / math.sqrt(2.0)))

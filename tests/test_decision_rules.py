@@ -18,7 +18,6 @@ from dualdetect import (
     LocalMetrics,
     ObservationThresholds,
     SignalModel,
-    classify_observation,
     classify_observations,
     gammas_from_lambdas,
     local_metrics,
@@ -127,28 +126,71 @@ class TestGammasFromLambdas:
             lambdas.lambda2 / lambdas.lambda1, rel=1e-9
         )
 
+    def test_array_equals_python_float_formula(self):
+        model = SignalModel(-0.5, 2.0, 4.75)
+        lambda1, lambda2 = np.exp(np.random.default_rng(8).uniform(-6.0, 6.0, size=(2, 20_000)))
+        g = gammas_from_lambdas(model, LikelihoodThresholds(lambda1, lambda2))
+        for index, (l1, l2) in enumerate(zip(lambda1.tolist(), lambda2.tolist())):
+            log1, log2 = math.log(l1), math.log(l2)
+            assert g.gamma1[index] == log1 / 2.5 + 1.5 / 2.0
+            assert g.gamma2[index] == log2 / 5.25 + 4.25 / 2.0
+            assert g.gamma3[index] == (log2 - log1) / 2.75 + 6.75 / 2.0
+
     def test_positive_thresholds_required(self):
         with pytest.raises(ValueError):
             LikelihoodThresholds(0.0, 1.0)
         with pytest.raises(ValueError):
             LikelihoodThresholds(1.0, -2.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["lambda1", "lambda2"])
+    def test_every_array_entry_checked(self, name, bad):
+        values = {"lambda1": np.array([0.5, 1.0, 2.0, 4.0]),
+                  "lambda2": np.array([4.0, 2.0, 1.0, 0.5])}
+        LikelihoodThresholds(**values)
+        values[name][2] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            LikelihoodThresholds(**values)
+
+
+# (observation, thresholds, expected decision code)
+CLASSIFICATION_CASES = [
+    (0.0, (1.5, 3.0, 4.5), 0),
+    (1.5, (1.5, 3.0, 4.5), 1),
+    (3.0, (1.5, 3.0, 4.5), 1),
+    (4.4999, (1.5, 3.0, 4.5), 1),
+    (4.5, (1.5, 3.0, 4.5), -1),
+    (9.0, (1.5, 3.0, 4.5), -1),
+]
+
+# gamma3 below gamma1 removes the first event region entirely
+EMPTY_EVENT1_CASES = [
+    (4.5, (4.0, 5.0, 2.0), 0),
+    (5.0, (4.0, 5.0, 2.0), -1),
+]
+
+
+def _reference_code(x, g1, g2, g3):
+    """The decision regions of the module docstring, one observation."""
+    if x >= max(g2, g3):
+        return -1
+    if g1 <= x < g3:
+        return 1
+    return 0
+
+
+def _check_cases(cases):
+    for x, gammas, code in cases:
+        codes = classify_observations(np.array([x]), ObservationThresholds(*gammas))
+        assert codes.tolist() == [code], (x, gammas)
+
 
 class TestClassification:
-    def test_regions(self, model):
-        g = ObservationThresholds(1.5, 3.0, 4.5)
-        assert classify_observation(0.0, g) is Hypothesis.NORMAL
-        assert classify_observation(1.5, g) is Hypothesis.EVENT1
-        assert classify_observation(3.0, g) is Hypothesis.EVENT1
-        assert classify_observation(4.4999, g) is Hypothesis.EVENT1
-        assert classify_observation(4.5, g) is Hypothesis.EVENT2
-        assert classify_observation(9.0, g) is Hypothesis.EVENT2
+    def test_regions(self):
+        _check_cases(CLASSIFICATION_CASES)
 
     def test_empty_event1_region(self):
-        # gamma3 below gamma1 removes the first event region entirely
-        g = ObservationThresholds(4.0, 5.0, 2.0)
-        assert classify_observation(4.5, g) is Hypothesis.NORMAL
-        assert classify_observation(5.0, g) is Hypothesis.EVENT2
+        _check_cases(EMPTY_EVENT1_CASES)
 
     @given(
         st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=64),
@@ -157,11 +199,9 @@ class TestClassification:
         st.floats(-4.0, 4.0),
     )
     def test_vectorized_matches_scalar(self, xs, g1, g2, g3):
-        g = ObservationThresholds(g1, g2, g3)
-        codes = classify_observations(np.array(xs), g)
+        codes = classify_observations(np.array(xs), ObservationThresholds(g1, g2, g3))
         assert codes.dtype == np.int8
-        for x, code in zip(xs, codes):
-            assert classify_observation(x, g).code == code
+        assert codes.tolist() == [_reference_code(x, g1, g2, g3) for x in xs]
 
 
 class TestLocalMetrics:
@@ -249,3 +289,21 @@ class TestLocalMetrics:
             LocalMetrics(p_d1=1.2, p_d2=0.5, p_f1=0.1, p_f2=0.1, p_m1=0.1, p_m2=0.1)
         with pytest.raises(ValueError):
             LocalMetrics(p_d1=0.7, p_d2=0.5, p_f1=0.1, p_f2=0.1, p_m1=0.5, p_m2=0.1)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("p_d1", 1.2), ("p_d2", -0.1), ("p_f1", math.nan), ("p_f2", 1.5),
+        ("p_m1", 0.6), ("p_m2", -1e-6),
+    ])
+    def test_every_array_entry_checked(self, name, bad):
+        # Three entries in range; one entry of one field breaks its bound
+        # (p_m1 = 0.6 only breaks p_d1 + p_m1 <= 1).
+        values = {
+            "p_d1": [0.7, 0.3, 0.2], "p_m1": [0.1, 0.2, 0.3],
+            "p_d2": [0.6, 0.5, 0.4], "p_m2": [0.2, 0.1, 0.3],
+            "p_f1": [0.1, 0.05, 0.2], "p_f2": [0.1, 0.2, 0.05],
+        }
+        fields = {key: np.array(row) for key, row in values.items()}
+        LocalMetrics(**fields)
+        fields[name][0] = bad
+        with pytest.raises(ValueError, match=name):
+            LocalMetrics(**fields)

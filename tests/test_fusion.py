@@ -1,5 +1,7 @@
 """Decision fusion: quorum tail sums, fault transitions, error composition."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -196,3 +198,78 @@ class TestProbError:
         clean = prob_error_faulty(model, priors, lambdas, params, FaultModel.none())
         faulty = prob_error_faulty(model, priors, lambdas, params, FaultModel.uniform_split(0.24))
         assert faulty > clean
+
+
+class TestArrayForm:
+    """One call over arrays of thresholds equals one scalar call per entry."""
+
+    FAULTS = {
+        "none": None,
+        "uniform": FaultModel.uniform_split(0.24),
+        # label 0 keeps every report: the matrix row for 0 is (1, 0, 0)
+        "table": FaultModel(0.05, 0.02, 0.01, 0.03, 0.0, 0.0),
+    }
+
+    @pytest.mark.parametrize("n, k", [(5, 3), (4, 2), (6, 3)])
+    @pytest.mark.parametrize("faults", sorted(FAULTS))
+    def test_broadcast_equals_scalar_calls(self, model, priors, n, k, faults):
+        fault_model = self.FAULTS[faults]
+        params = FusionParams(n, k)
+        logs = np.random.default_rng(17).uniform(-5.0, 5.0, size=(200, 2))
+        lambda1 = np.array([math.exp(u) for u in logs[:, 0]])
+        lambda2 = np.array([math.exp(v) for v in logs[:, 1]])
+        lambdas = LikelihoodThresholds(lambda1, lambda2)
+
+        metrics = local_metrics(model, gammas_from_lambdas(model, lambdas))
+        if fault_model is not None:
+            metrics = fault_adjust(metrics, fault_model)
+        quality = fusion_quality(metrics, params)
+        errors = prob_error_faulty(model, priors, lambdas, params, fault_model)
+        assert errors.shape == (200,)
+
+        for index, (l1, l2) in enumerate(zip(lambda1.tolist(), lambda2.tolist())):
+            scalar = LikelihoodThresholds(l1, l2)
+            m = local_metrics(model, gammas_from_lambdas(model, scalar))
+            if fault_model is not None:
+                m = fault_adjust(m, fault_model)
+            q = fusion_quality(m, params)
+            for name in ("p_d1", "p_d2", "p_f1", "p_f2", "p_m1", "p_m2"):
+                assert getattr(metrics, name)[index] == getattr(m, name), name
+            for name in ("q_d1", "q_d2", "q_f1", "q_f2", "q_f"):
+                assert getattr(quality, name)[index] == getattr(q, name), name
+            assert errors[index] == prob_error_faulty(model, priors, scalar, params, fault_model)
+
+    @pytest.mark.parametrize("n, k", [(5, 3), (4, 2), (6, 3), (8, 5)])
+    def test_tail_equals_python_float_loop(self, n, k):
+        # Reference: the trinomial sum in Python floats, term by term.
+        def reference(primary, secondary):
+            rest = 1.0 - primary - secondary
+            total = 0.0
+            for i in range(k, n + 1):
+                for j in range(n - i + 1):
+                    if j >= k and j >= i:
+                        continue
+                    total += (math.comb(n, i) * math.comb(n - i, j)
+                              * primary**i * secondary**j * rest ** (n - i - j))
+            return total
+
+        a, b, _ = np.random.default_rng(3).dirichlet([1.0, 1.0, 1.0], size=300).T
+        m = LocalMetrics(p_d1=a, p_m1=b, p_d2=b, p_m2=a, p_f1=a, p_f2=b)
+        q = fusion_quality(m, FusionParams(n, k))
+        pairs = list(zip(a.tolist(), b.tolist()))
+        assert q.q_d1.tolist() == [reference(x, y) for x, y in pairs]
+        assert q.q_d2.tolist() == [reference(y, x) for x, y in pairs]
+        assert q.q_f2.tolist() == [reference(y, x) for x, y in pairs]
+
+    def test_grid_broadcast(self, model, priors, params):
+        # A column of lambda1 against a row of lambda2 scores the whole grid.
+        axis = np.array([math.exp(u) for u in np.linspace(-3.0, 3.0, 7)])
+        lambdas = LikelihoodThresholds(axis[:, None], axis[None, :])
+        grid = prob_error_faulty(model, priors, lambdas, params, FaultModel.uniform_split(0.12))
+        assert grid.shape == (7, 7)
+        for i, l1 in enumerate(axis.tolist()):
+            for j, l2 in enumerate(axis.tolist()):
+                assert grid[i, j] == prob_error_faulty(
+                    model, priors, LikelihoodThresholds(l1, l2), params,
+                    FaultModel.uniform_split(0.12),
+                )

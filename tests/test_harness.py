@@ -11,7 +11,9 @@ import pytest
 from dualdetect import (
     ConfigError,
     ExperimentConfig,
+    harness,
     load_config,
+    minimize_error,
     parse_config_text,
     run_single,
     run_sweep,
@@ -64,6 +66,17 @@ GOLDEN_SIMULATE_DIGESTS = {
         "local_decisions_faulty.csv": "3643e5f3cf01709e4e891e87c4af7d6bd3a7e795972497897218a44afce9635a",
         "summary.csv": "6d4bb36dc91ac31c2b2c4c270309ca4e5ad26b845cc72e41ab08ca8936b629c0",
     },
+}
+
+# sha256 of `optimize` stdout and of the `sweep` CSV; the sweeps run on
+# configs/experiment2.conf with --repetitions 3.
+GOLDEN_OPTIMIZE_DIGESTS = {
+    "experiment1.conf": "b31cc4b98c3387d8febb7f93c6cef67a391ef4a50096866a3fb775bafb15fa83",
+    "experiment2.conf": "78ae9761cb84104dff0ded7b95bc381aaa1fbac784765441d9928e6c81e99400",
+}
+GOLDEN_SWEEP_DIGESTS = {
+    ("sensor_count", "200,400"): "2a299b259e083eb513021560bdefd3ba6fa74ef74083990e29e20611cb32477e",
+    ("p_f", "0.12,0.24"): "202991235bcfa3bed7990315840dbf020aeb6dac4b4adb0b35628f171eecdd9f",
 }
 
 
@@ -255,6 +268,26 @@ class TestRunSingle:
         }
         assert digests == GOLDEN_SIMULATE_DIGESTS[mode]
 
+    @pytest.mark.parametrize("conf", sorted(GOLDEN_OPTIMIZE_DIGESTS))
+    def test_optimize_stdout_matches_golden_digest(self, capsys, conf):
+        code = main(["optimize", "--config", str(CONFIGS / conf)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_OPTIMIZE_DIGESTS[conf], out
+
+    @pytest.mark.parametrize("param, values", sorted(GOLDEN_SWEEP_DIGESTS))
+    def test_sweep_csv_matches_golden_digest(self, tmp_path, capsys, param, values):
+        out = tmp_path / "sweep.csv"
+        code = main([
+            "sweep", "--config", str(CONFIGS / "experiment2.conf"),
+            "--param", param, "--values", values, "--repetitions", "3",
+            "--output", str(out),
+        ])
+        capsys.readouterr()
+        assert code == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == GOLDEN_SWEEP_DIGESTS[param, values], out.read_text()
+
     def test_before_fault_files_are_clean(self, tmp_path):
         run_single(small_config(p_f=0.24), tmp_path)
         for name in ("local_decisions.csv", "final_decisions.csv"):
@@ -280,6 +313,35 @@ class TestRunSweep:
         summary = run_sweep(base, "nk", ["3/2", "5/3"])
         assert summary.rows[0].label == "3/2"
         assert summary.rows[1].label == "5/3"
+
+    @pytest.mark.parametrize("param, values, expected", [
+        ("sensor_count", ["40", "50", "60"], 1),
+        ("p_f", ["0.12", "0.24", "0.36"], 3),
+        ("nk", ["3/2", "5/3"], 2),
+    ])
+    def test_one_search_per_distinct_objective(self, monkeypatch, param, values, expected):
+        searches = []
+
+        def counted(*args):
+            searches.append(args)
+            return minimize_error(*args)
+
+        monkeypatch.setattr(harness, "minimize_error", counted)
+        base = small_config(lambda1=None, lambda2=None, p_f=0.12, repetitions=1)
+        summary = run_sweep(base, param, values)
+        assert len(searches) == expected
+        # Every row, thresholds and convergence flag included, equals the
+        # row of a sweep over its value alone.
+        for row, raw in zip(summary.rows, values):
+            assert row == run_sweep(base, param, [raw]).rows[0]
+
+    def test_threshold_override_searches_nothing(self, monkeypatch):
+        searches = []
+        monkeypatch.setattr(harness, "minimize_error", lambda *args: searches.append(args))
+        summary = run_sweep(small_config(repetitions=1), "p_f", ["0.12", "0.24"])
+        assert searches == []
+        assert all((row.lambda1, row.lambda2, row.converged) == (0.9829, 1.8496, True)
+                   for row in summary.rows)
 
     def test_unknown_param_rejected(self):
         with pytest.raises(ConfigError, match="sweep parameter"):

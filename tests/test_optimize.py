@@ -81,6 +81,32 @@ class TestSearchBehavior:
         assert result.objective_value < 1e-6
         assert max(result.lambda1, result.lambda2) >= math.exp(4.9)
 
+    # One-hot priors leave flat stretches, and clamped compass candidates
+    # that equal the centre, so these recorded optima pin both tie breaks
+    # and the evaluation count.
+    @pytest.mark.parametrize("prior, lambda1, lambda2, evaluations", [
+        ((1.0, 0.0, 0.0), 148.4131591025766, 4.898944508039069, 10289),
+        ((0.0, 1.0, 0.0), 0.006737946999085467, 148.4131591025766, 10269),
+        ((0.0, 0.0, 1.0), 7.38905609893065, 0.006737946999085467, 10269),
+    ])
+    def test_ties_on_flat_objectives(self, model, params, prior, lambda1, lambda2, evaluations):
+        result = minimize_error(model, Priors(*prior), params)
+        assert (result.lambda1, result.lambda2, result.evaluations, result.converged) == (
+            lambda1, lambda2, evaluations, True)
+
+    def test_compass_tie_goes_to_first_candidate(self, model, priors, params, monkeypatch):
+        # Two equal wells beside the lattice optimum (0, 0): the first
+        # compass round that improves finds the +u and +v moves tied, and
+        # the first listed (+u) must win.
+        def two_wells(model, priors, lambdas, params, faults):
+            u, v = np.log(lambdas.lambda1), np.log(lambdas.lambda2)
+            return np.minimum((u - 0.04) ** 2 + v**2, u**2 + (v - 0.04) ** 2)
+
+        monkeypatch.setattr(optimize, "prob_error_faulty", two_wells)
+        result = minimize_error(model, priors, params)
+        assert math.log(result.lambda1) == pytest.approx(0.04, abs=1e-5)
+        assert math.log(result.lambda2) == pytest.approx(0.0, abs=1e-5)
+
     def test_fault_objective_used_when_faults_given(self, model, priors, params):
         faults = FaultModel.uniform_split(0.24)
         result = minimize_error(model, priors, params, faults)

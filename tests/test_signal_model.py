@@ -95,3 +95,11 @@ class TestNormalCdf:
     def test_monotone(self, z, step):
         assert normal_cdf(z + step) >= normal_cdf(z)
 
+
+    def test_array_matches_erf_elementwise(self):
+        z = np.random.default_rng(5).normal(0.0, 3.0, size=(7, 11))
+        phi = normal_cdf(z)
+        assert phi.dtype == np.float64
+        assert phi.shape == z.shape
+        expected = [[0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in row] for row in z]
+        assert phi.tolist() == expected
