@@ -15,7 +15,9 @@ are still written).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     load_config,
+    make_output_dir,
     parse_value,
     run_single,
     run_sweep,
@@ -123,6 +126,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load(args)
+    # Refuse an unusable output path before the repetitions run.
+    output = Path(args.output)
+    make_output_dir(output.parent)
+    if output.is_dir():
+        raise ConfigError(f"sweep output {output} is a directory")
     values = [v for v in args.values.split(",") if v.strip()]
     summary = run_sweep(config, args.param, values)
     path = summary.to_csv(args.output)
@@ -147,6 +155,11 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         raise ConfigError(f"--n must not exceed {MAX_ORACLE_SENSORS}, got {params.n}")
     if args.trials < 1:
         raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must not be negative, got {args.seed}")
+    # A NaN tolerance would pass every run: no comparison with NaN is true.
+    if not 0.0 <= args.tolerance < math.inf:
+        raise ConfigError(f"--tolerance must be finite and not negative, got {args.tolerance!r}")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(args.trials):

@@ -26,6 +26,7 @@ from .simulator import (
     FieldConfig,
     Rectangle,
     RunResult,
+    SensorField,
     generate_field,
     run_detection,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "SweepRow",
     "SweepSummary",
     "load_config",
+    "make_output_dir",
     "parse_config_text",
     "parse_value",
     "run_single",
@@ -291,12 +293,8 @@ def _optimize_for(config: ExperimentConfig) -> tuple[LikelihoodThresholds, Optim
 
 
 def _format_value(value: object) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating, np.integer)):
-        return repr(value.item())
     return str(value)
 
 
@@ -306,21 +304,46 @@ def _write_csv(path: Path, header: str, rows: list[list[object]]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _scatter_rows(
-    result: RunResult, decisions: np.ndarray, faulty: np.ndarray
-) -> list[list[object]]:
-    positions = result.field.positions
-    truth = result.field.truth
-    return [
-        [
-            float(positions[i, 0]),
-            float(positions[i, 1]),
-            int(truth[i]),
-            int(decisions[i]),
-            int(faulty[i]),
-        ]
-        for i in range(positions.shape[0])
+def make_output_dir(path: Path) -> Path:
+    """Create directory ``path`` and its parents, or raise ConfigError."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
+    return path
+
+
+# The "decision,faulty" suffix of a scatter row, at 2 * (code % 3) + faulty:
+# decision codes 0, 1, -1 in FaultModel.matrix row order, times flag 0, 1.
+_SCATTER_SUFFIXES = np.array(
+    [f"{code},{flag}" for code in (0, 1, -1) for flag in (0, 1)], dtype=object
+)
+
+
+def _write_scatter(
+    out: Path, field: SensorField, files: list[tuple[str, np.ndarray, np.ndarray]]
+) -> list[Path]:
+    """Write one x,y,truth,decision,faulty CSV per (name, decisions, flags).
+
+    The files share x, y and truth, so those are formatted once. Python
+    floats' repr is the shortest string that reads back exactly.
+    """
+    prefixes = [
+        f"{x!r},{y!r},{t},"
+        for x, y, t in zip(
+            field.positions[:, 0].tolist(),
+            field.positions[:, 1].tolist(),
+            field.truth.tolist(),
+        )
     ]
+    paths = []
+    for name, decisions, flags in files:
+        suffixes = _SCATTER_SUFFIXES[2 * (decisions % 3) + flags].tolist()
+        rows = "\n".join(map(str.__add__, prefixes, suffixes))
+        path = out / name
+        path.write_text(f"{SCATTER_CSV_HEADER}\n{rows}\n")
+        paths.append(path)
+    return paths
 
 
 def run_single(config: ExperimentConfig, output_dir: str | Path | None = None) -> SingleRunArtifacts:
@@ -332,8 +355,7 @@ def run_single(config: ExperimentConfig, output_dir: str | Path | None = None) -
     scatter file.
     """
     config = config.validate()
-    out = Path(output_dir) if output_dir is not None else Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_output_dir(Path(output_dir if output_dir is not None else config.output_dir))
 
     thresholds, optimization = _optimize_for(config)
     gammas = gammas_from_lambdas(config.signal_model(), thresholds)
@@ -354,11 +376,7 @@ def run_single(config: ExperimentConfig, output_dir: str | Path | None = None) -
                 ("final_decisions_faulty.csv", result.final, result.faulty),
             ]
         )
-    paths = []
-    for name, decisions, flags in artifacts:
-        path = out / name
-        _write_csv(path, SCATTER_CSV_HEADER, _scatter_rows(result, decisions, flags))
-        paths.append(path)
+    paths = _write_scatter(out, field, artifacts)
 
     summary: dict[str, object] = {
         "sensor_count": config.sensor_count,
@@ -419,7 +437,7 @@ class SweepSummary:
 
     def to_csv(self, path: str | Path) -> Path:
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        make_output_dir(path.parent)
         rows = [
             [row.label, row.ld_bf, row.fd_bf, row.ld_af, row.fd_af,
              row.lambda1, row.lambda2]

@@ -11,6 +11,7 @@ import pytest
 from dualdetect import (
     ConfigError,
     ExperimentConfig,
+    generate_field,
     harness,
     load_config,
     minimize_error,
@@ -92,6 +93,28 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+def reference_scatter_csv(positions, truth, decisions, faulty):
+    """The scatter CSV text as the earlier per-cell writer produced it."""
+
+    def format_value(value):
+        if isinstance(value, (bool, np.bool_)):
+            return "1" if value else "0"
+        if isinstance(value, float):
+            return repr(value)
+        if isinstance(value, (np.floating, np.integer)):
+            return repr(value.item())
+        return str(value)
+
+    rows = [
+        [float(positions[i, 0]), float(positions[i, 1]),
+         int(truth[i]), int(decisions[i]), int(faulty[i])]
+        for i in range(positions.shape[0])
+    ]
+    lines = [SCATTER_CSV_HEADER]
+    lines.extend(",".join(format_value(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 class TestConfigParsing:
@@ -288,6 +311,56 @@ class TestRunSingle:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == GOLDEN_SWEEP_DIGESTS[param, values], out.read_text()
 
+    def test_scatter_writer_matches_per_cell_formatter(self, tmp_path):
+        # Floats whose repr is easy to get wrong, and all six
+        # (decision, faulty) pairs.
+        crafted = [1e-05, 3.0, 0.1 + 0.2, 5e-324, 19.999999999999996, 0.0]
+        positions = np.array([crafted, crafted[::-1]], dtype=np.float64).T
+        truth = np.array([0, 1, -1, -1, 1, 0], dtype=np.int8)
+        decisions = np.array([0, 0, 1, 1, -1, -1], dtype=np.int8)
+        flags = np.array([False, True] * 3)
+        base = generate_field(small_config(sensor_count=6).field_config(),
+                              np.random.default_rng(0))
+        field = replace(base, positions=positions, truth=truth)
+        files = [("one.csv", decisions, flags), ("two.csv", decisions[::-1], ~flags)]
+        paths = harness._write_scatter(tmp_path, field, files)
+        assert [p.name for p in paths] == ["one.csv", "two.csv"]
+        for path, (_, codes, faulty) in zip(paths, files):
+            assert path.read_text() == reference_scatter_csv(positions, truth, codes, faulty)
+        rows = read_csv(paths[0])[1]
+        assert {tuple(row[3:]) for row in rows} == {
+            (d, f) for d in ("0", "1", "-1") for f in ("0", "1")
+        }
+        # The written coordinates read back as the exact positions.
+        assert [[float(row[0]), float(row[1])] for row in rows] == positions.tolist()
+
+    def test_fault_free_run_writes_two_clean_scatter_files(self, tmp_path):
+        artifacts = run_single(small_config(), tmp_path)
+        result = artifacts.result
+        clean = np.zeros(result.local.shape, dtype=bool)
+        scatter = sorted(p.name for p in tmp_path.glob("*_decisions*.csv"))
+        assert scatter == ["final_decisions.csv", "local_decisions.csv"]
+        for name, decisions in [("local_decisions.csv", result.local),
+                                ("final_decisions.csv", result.clean_final)]:
+            expected = reference_scatter_csv(result.field.positions, result.field.truth,
+                                             decisions, clean)
+            assert (tmp_path / name).read_text() == expected
+
+    def test_large_field_scatter_matches_per_cell_formatter(self, tmp_path):
+        config = small_config(sensor_count=20_000, p_f=0.24, fault_mode="alpha-table")
+        result = run_single(config, tmp_path).result
+        assert result.faulty.any()
+        clean = np.zeros(result.local.shape, dtype=bool)
+        for name, decisions, faulty in [
+            ("local_decisions.csv", result.local, clean),
+            ("final_decisions.csv", result.clean_final, clean),
+            ("local_decisions_faulty.csv", result.reported, result.faulty),
+            ("final_decisions_faulty.csv", result.final, result.faulty),
+        ]:
+            expected = reference_scatter_csv(result.field.positions, result.field.truth,
+                                             decisions, faulty)
+            assert (tmp_path / name).read_text() == expected, name
+
     def test_before_fault_files_are_clean(self, tmp_path):
         run_single(small_config(p_f=0.24), tmp_path)
         for name in ("local_decisions.csv", "final_decisions.csv"):
@@ -421,10 +494,39 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["--n", "13"], ["--n", "3", "--k", "5"], ["--trials", "0"], ["--trials", "-3"],
+        ["--tolerance", "nan"], ["--tolerance", "inf"], ["--tolerance", "-1"],
+        ["--seed", "-1"],
     ])
     def test_oracle_check_bad_arguments_exit_two(self, argv, capsys):
         assert main(["oracle-check", *argv]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_simulate_output_dir_is_a_file_exit_two(self, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        code = main(["simulate", "--sensor-count", "60", "--lambda1", "1.0",
+                     "--lambda2", "1.9", "--output-dir", str(blocker)])
+        assert code == 2
+        assert str(blocker) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["under_a_file", "a_directory"])
+    def test_sweep_bad_output_exit_two_before_simulating(
+        self, tmp_path, capsys, monkeypatch, where
+    ):
+        blocker = tmp_path / "taken"
+        if where == "under_a_file":
+            blocker.write_text("")
+            output = blocker / "s.csv"
+        else:
+            blocker.mkdir()
+            output = blocker
+        sweeps = []
+        monkeypatch.setattr("dualdetect.cli.run_sweep", lambda *args: sweeps.append(args))
+        code = main(["sweep", "--param", "p_f", "--values", "0.12",
+                     "--output", str(output)])
+        assert code == 2
+        assert str(blocker) in capsys.readouterr().err
+        assert sweeps == []
 
     def test_alphas_flag(self, tmp_path, capsys):
         out = tmp_path / "runs"
