@@ -32,6 +32,7 @@ from .fusion import (
     fusion_quality,
     prob_error,
     prob_error_faulty,
+    quorum_label,
 )
 from .optimize import OptimizationResult, minimize_error
 from .simulator import (
@@ -79,6 +80,7 @@ __all__ = [
     "fusion_quality",
     "prob_error",
     "prob_error_faulty",
+    "quorum_label",
     "OptimizationResult",
     "minimize_error",
     "FAULT_MODES",

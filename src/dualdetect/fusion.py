@@ -1,10 +1,11 @@
 """Decision fusion analytics: quorum probabilities, faults, Bayes error.
 
 A fusing node collects n ternary votes (its neighborhood's reported
-decisions, all assumed to share one ground truth) and declares an event
-when at least k votes agree on it. The probability that a quorum forms
-is a trinomial tail: i votes for the event of interest, j votes for the
-opposite event, and the remaining n - i - j abstentions.
+decisions, all assumed to share one ground truth) and declares the
+event with strictly more votes if it has at least k; else it reports
+quiet. :func:`quorum_label` is that rule for the simulator, the oracle
+and the closed form, a trinomial sum over i votes for the event of
+interest, j for the opposite event and n - i - j abstentions.
 
 Sensor faults are modeled as a per-label transition matrix applied
 independently to each sensor's decision before fusion; the closed-form
@@ -30,13 +31,14 @@ from .decision_rules import (
     gammas_from_lambdas,
     local_metrics,
 )
-from .signal_model import Hypothesis, Priors, SignalModel, elementwise
+from .signal_model import CODES, Hypothesis, Priors, SignalModel, elementwise
 
 __all__ = [
     "FusionParams",
     "FaultModel",
     "FusionQuality",
     "FusionOutcome",
+    "quorum_label",
     "fuse_decisions",
     "fusion_quality",
     "enumerate_fusion_oracle",
@@ -74,8 +76,9 @@ class FaultModel:
     alpha3: +1 reported as -1     alpha4: -1 reported as +1
     alpha5:  0 reported as +1     alpha6:  0 reported as -1
 
-    The total fault probability is the sum of all six. Per source label
-    the outgoing corruption must not exceed one.
+    The total fault probability is the sum of all six; :meth:`uniform_split`
+    keeps the exact total, which its six shares may miss by an ulp. Per
+    source label the outgoing corruption must not exceed one.
 
     ``matrix`` is the row-stochastic transition matrix built from the
     six alphas: ``matrix[i][j]`` is the probability that a decision with
@@ -92,6 +95,7 @@ class FaultModel:
     matrix: tuple[tuple[float, float, float], ...] = field(
         init=False, repr=False, compare=False
     )
+    total_probability: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "alpha6"):
@@ -103,20 +107,15 @@ class FaultModel:
             (self.alpha1, 1.0 - self.alpha1 - self.alpha3, self.alpha3),
             (self.alpha2, self.alpha4, 1.0 - self.alpha2 - self.alpha4),
         )
-        for code, row in zip((0, 1, -1), matrix):
+        for code, row in zip(CODES, matrix):
             if row[code % 3] < -_UNIT_TOL:
                 raise ValueError(
                     f"fault probabilities out of label {code} must not exceed 1, "
                     f"got {1.0 - row[code % 3]!r}"
                 )
         object.__setattr__(self, "matrix", matrix)
-
-    @property
-    def total_probability(self) -> float:
-        return (
-            self.alpha1 + self.alpha2 + self.alpha3
-            + self.alpha4 + self.alpha5 + self.alpha6
-        )
+        object.__setattr__(self, "total_probability", self.alpha1 + self.alpha2
+                           + self.alpha3 + self.alpha4 + self.alpha5 + self.alpha6)
 
     @classmethod
     def uniform_split(cls, total: float) -> "FaultModel":
@@ -124,7 +123,9 @@ class FaultModel:
         if not (0.0 <= total <= 1.0):
             raise ValueError(f"total fault probability must lie in [0, 1], got {total!r}")
         share = total / 6.0
-        return cls(share, share, share, share, share, share)
+        model = cls(share, share, share, share, share, share)
+        object.__setattr__(model, "total_probability", total)
+        return model
 
     @classmethod
     def none(cls) -> "FaultModel":
@@ -155,9 +156,33 @@ class FusionOutcome(NamedTuple):
     normal: float
 
 
-def _powers(x: float | np.ndarray, exponents: range) -> dict[int, float | np.ndarray]:
+def quorum_label(
+    count1: int | np.ndarray, count2: int | np.ndarray, k: int
+) -> np.ndarray:
+    """The fused decision code for count1 event-1 and count2 event-2 votes.
+
+    The one statement of the modified k-out-of-n rule: the event with
+    strictly more votes is declared if it has at least k votes, else,
+    a tie included, the node reports quiet (0). Works elementwise on
+    ints or integer arrays and returns int8 codes.
+    """
+    quorum = np.maximum(count1, count2) >= k
+    return np.where(quorum, np.sign(count1 - count2), 0).astype(np.int8)
+
+
+def _powers(x: float | np.ndarray, exponents: set[int]) -> dict[int, float | np.ndarray]:
     """``{e: x**e}``, each rounded as Python's float power rounds it."""
     return {e: 1.0 if e == 0 else x if e == 1 else _pow(x, e) for e in exponents}
+
+
+@lru_cache(maxsize=None)
+def _primary_cells(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
+    """(i, j, multinomial coefficient) for the vote counts fused to +1."""
+    return tuple(
+        (i, j, math.comb(n, i) * math.comb(n - i, j))
+        for i in range(n + 1) for j in range(n - i + 1)
+        if quorum_label(i, j, k) == 1
+    )
 
 
 def _quorum_tail(
@@ -165,24 +190,18 @@ def _quorum_tail(
 ) -> float | np.ndarray:
     """P(the fused label is the primary event) for i.i.d. ternary votes.
 
-    Summed as a trinomial: i primary votes (outer), j secondary votes
-    (inner), the rest abstaining. A pattern counts when the primary
-    event reaches quorum and the secondary event either misses quorum
-    or has fewer votes, which is the tie rule of :func:`fuse_decisions`.
-    When 2k > n the secondary event can never reach quorum alongside
-    the primary one, so every pattern with i >= k counts. Each power is
-    computed once per call and the terms are added in pattern order.
+    Summed as a trinomial over i primary votes (outer), j secondary
+    votes (inner) and n - i - j abstentions, on the cells where
+    :func:`quorum_label` declares the primary event. Each power is
+    computed once per call and the terms are added in cell order.
     """
-    rest = 1.0 - primary - secondary
-    p = _powers(primary, range(k, n + 1))
-    s = _powers(secondary, range(n - k + 1))
-    r = _powers(rest, range(n - k + 1))
+    cells = _primary_cells(n, k)
+    p = _powers(primary, {i for i, _, _ in cells})
+    s = _powers(secondary, {j for _, j, _ in cells})
+    r = _powers(1.0 - primary - secondary, {n - i - j for i, j, _ in cells})
     total = 0.0
-    for i in range(k, n + 1):
-        for j in range(0, n - i + 1):
-            if j >= k and j >= i:
-                continue
-            total += math.comb(n, i) * math.comb(n - i, j) * p[i] * s[j] * r[n - i - j]
+    for i, j, coefficient in cells:
+        total += coefficient * p[i] * s[j] * r[n - i - j]
     return total
 
 
@@ -196,30 +215,14 @@ def fusion_quality(metrics: LocalMetrics, params: FusionParams) -> FusionQuality
 
 
 def fuse_decisions(reported: np.ndarray, neighbors: np.ndarray, k: int) -> np.ndarray:
-    """Modified k-out-of-n fusion of reported decisions.
-
-    A node declares an event when at least k of its neighborhood's
-    votes name that event; if both events reach quorum the larger count
-    wins and an exact tie yields the quiet label.
-    """
+    """Modified k-out-of-n fusion of each node's neighborhood votes."""
     votes = reported[neighbors]
-    count1 = (votes == 1).sum(axis=1)
-    count2 = (votes == -1).sum(axis=1)
-    fused = np.zeros(neighbors.shape[0], dtype=np.int8)
-    up = count1 >= k
-    down = count2 >= k
-    fused[up & (~down | (count1 > count2))] = 1
-    fused[down & (~up | (count2 > count1))] = -1
-    return fused
-
-
-# The three vote labels, indexed by the vote patterns below.
-_VOTE_LABELS = np.array([1, -1, 0], dtype=np.int8)
+    return quorum_label((votes == 1).sum(axis=1), (votes == -1).sum(axis=1), k)
 
 
 @lru_cache(maxsize=None)
 def _vote_patterns(n: int) -> np.ndarray:
-    """All 3^n vote vectors as rows of indices into ``_VOTE_LABELS``."""
+    """All 3^n vote vectors; in each, 0 is a +1 vote, 1 a -1 vote, 2 quiet."""
     return np.array(list(itertools.product(range(3), repeat=n)), dtype=np.int8)
 
 
@@ -248,7 +251,8 @@ def enumerate_fusion_oracle(
 
     patterns = _vote_patterns(params.n)
     mass = probs[patterns].prod(axis=1)
-    labels = fuse_decisions(_VOTE_LABELS, patterns, params.k)
+    counts = (patterns == 0).sum(axis=1), (patterns == 1).sum(axis=1)
+    labels = quorum_label(*counts, params.k)
     return FusionOutcome(
         event1=float(mass[labels == 1].sum()),
         event2=float(mass[labels == -1].sum()),

@@ -20,7 +20,7 @@ import numpy as np
 from .decision_rules import LikelihoodThresholds, gammas_from_lambdas
 from .fusion import FaultModel, FusionParams
 from .optimize import OptimizationResult, minimize_error
-from .signal_model import Priors, SignalModel
+from .signal_model import CODES, Priors, SignalModel
 from .simulator import (
     FaultSpec,
     FieldConfig,
@@ -243,8 +243,8 @@ def load_config(
     values: dict[str, object] = {}
     if path is not None:
         try:
-            text = Path(path).read_text()
-        except OSError as exc:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         values.update(parse_config_text(text, source=str(path)))
     if overrides:
@@ -313,10 +313,9 @@ def make_output_dir(path: Path) -> Path:
     return path
 
 
-# The "decision,faulty" suffix of a scatter row, at 2 * (code % 3) + faulty:
-# decision codes 0, 1, -1 in FaultModel.matrix row order, times flag 0, 1.
+# The "decision,faulty" suffix of a scatter row, at 2 * (code % 3) + faulty.
 _SCATTER_SUFFIXES = np.array(
-    [f"{code},{flag}" for code in (0, 1, -1) for flag in (0, 1)], dtype=object
+    [f"{code},{flag}" for code in CODES for flag in (0, 1)], dtype=object
 )
 
 

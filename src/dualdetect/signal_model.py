@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "CODES",
     "Hypothesis",
     "SignalModel",
     "Priors",
@@ -43,14 +44,10 @@ class Hypothesis(enum.Enum):
     def code(self) -> int:
         return self.value
 
-    @classmethod
-    def from_code(cls, code: int) -> "Hypothesis":
-        try:
-            return cls(int(code))
-        except ValueError:
-            raise ValueError(
-                f"invalid decision code {code!r}; expected 0, +1 or -1"
-            ) from None
+
+# The decision codes (0, +1, -1) in the order every per-label table uses,
+# the fault matrix included: a code's index is ``code % 3``.
+CODES = np.array([h.code for h in Hypothesis], dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -81,9 +78,8 @@ class SignalModel:
             )
 
     def means_for_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Vectorized mean lookup for an array of 0/+1/-1 codes."""
-        codes = np.asarray(codes)
-        return np.select([codes == 1, codes == -1], [self.m1, self.m2], self.m0)
+        """Vectorized mean lookup: the means in CODES order, at ``code % 3``."""
+        return np.array([self.m0, self.m1, self.m2])[np.asarray(codes) % 3]
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .decision_rules import ObservationThresholds, classify_observations
 from .fusion import FaultModel, FusionParams, fuse_decisions
-from .signal_model import Hypothesis, SignalModel
+from .signal_model import CODES, Hypothesis, SignalModel
 
 __all__ = [
     "Rectangle",
@@ -254,9 +254,8 @@ def generate_field(config: FieldConfig, rng: np.random.Generator) -> SensorField
                        neighbors=neighbors)
 
 
-# FaultModel.matrix row and column order, and each row's off-diagonal
-# columns in ascending order. A decision code's row is code % 3.
-_MATRIX_CODES = np.array([0, 1, -1], dtype=np.int8)
+# Each FaultModel.matrix row's off-diagonal columns in ascending order.
+# Rows and columns follow CODES, so a decision code's row is code % 3.
 _ARC_COLUMNS = np.array([[1, 2], [0, 2], [0, 1]])
 
 
@@ -284,7 +283,7 @@ def _inject_forced_change(
     p_first = np.divide(
         weights[:, 0], total, out=np.full(n_faulty, 0.5), where=total > 0.0
     )
-    reported[chosen] = _MATRIX_CODES[np.where(u < p_first, columns[:, 0], columns[:, 1])]
+    reported[chosen] = CODES[np.where(u < p_first, columns[:, 0], columns[:, 1])]
     return reported, faulty
 
 
@@ -297,7 +296,7 @@ def _inject_alpha_table(
     to_first = u < weights[:, 0]
     to_second = u < weights[:, 0] + weights[:, 1]
     chosen = np.where(to_first, columns[:, 0], np.where(to_second, columns[:, 1], rows))
-    reported = _MATRIX_CODES[chosen]
+    reported = CODES[chosen]
     faulty = reported != local
     return reported, faulty
 

@@ -21,6 +21,7 @@ from dualdetect import (
     local_metrics,
     prob_error,
     prob_error_faulty,
+    quorum_label,
 )
 
 
@@ -55,6 +56,37 @@ class TestFusionParams:
             FusionParams(3, 4)
         with pytest.raises(ValueError):
             FusionParams(3, 0)
+
+
+class TestQuorumLabel:
+    @staticmethod
+    def two_clause_rule(count1, count2, k):
+        # Reference: the rule in its two-clause form. An event needs k
+        # votes; on a double quorum the larger count wins, a tie is quiet.
+        up, down = count1 >= k, count2 >= k
+        if up and (not down or count1 > count2):
+            return 1
+        if down and (not up or count2 > count1):
+            return -1
+        return 0
+
+    def test_exhaustive_against_two_clause_rule(self):
+        # Every count pair of every neighborhood size up to the oracle's cap.
+        cases = [
+            (count1, count2, k)
+            for n in range(1, 13)
+            for k in range(1, n + 1)
+            for count1 in range(n + 1)
+            for count2 in range(n - count1 + 1)
+        ]
+        want = [self.two_clause_rule(*case) for case in cases]
+        assert [int(quorum_label(*case)) for case in cases] == want
+        count1, count2, k = (np.array(column) for column in zip(*cases))
+        for size in range(1, 13):
+            rows = k == size
+            labels = quorum_label(count1[rows], count2[rows], size)
+            assert labels.dtype == np.int8
+            assert labels.tolist() == [w for w, row in zip(want, rows) if row]
 
 
 class TestFusionQuality:
@@ -110,6 +142,16 @@ class TestFaultModel:
         faults = FaultModel.uniform_split(0.12)
         assert faults.alpha1 == pytest.approx(0.02)
         assert faults.total_probability == pytest.approx(0.12)
+
+    @pytest.mark.parametrize("total", [0.12, 0.25, 1.0])
+    def test_uniform_split_reports_its_total(self, total):
+        # Six shares of total / 6 can add up to one ulp less than total.
+        assert FaultModel.uniform_split(total).total_probability == total
+        # Explicit alphas report their sum, added left to right.
+        share = total / 6.0
+        explicit = FaultModel(share, share, share, share, share, share)
+        assert explicit.total_probability == share + share + share + share + share + share
+        assert explicit == FaultModel.uniform_split(total)
 
     def test_none(self):
         faults = FaultModel.none()
@@ -239,7 +281,7 @@ class TestArrayForm:
                 assert getattr(quality, name)[index] == getattr(q, name), name
             assert errors[index] == prob_error_faulty(model, priors, scalar, params, fault_model)
 
-    @pytest.mark.parametrize("n, k", [(5, 3), (4, 2), (6, 3), (8, 5)])
+    @pytest.mark.parametrize("n, k", [(5, 3), (4, 2), (6, 3), (8, 5), (5, 1), (5, 5), (7, 2)])
     def test_tail_equals_python_float_loop(self, n, k):
         # Reference: the trinomial sum in Python floats, term by term.
         def reference(primary, secondary):

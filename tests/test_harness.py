@@ -52,20 +52,21 @@ KEY_PARITY_CASES = [
 ]
 
 # sha256 of every file `simulate --config configs/experiment2.conf` writes.
+# summary.csv records p_f as configured, `p_f,0.12`.
 GOLDEN_SIMULATE_DIGESTS = {
     "forced-change": {
         "final_decisions.csv": "0ce67c8bf516756b3ba08c0b2fceb7ee19a03d1f6b332d7ae34cf02373eb0fa5",
         "final_decisions_faulty.csv": "501c9b560af2a5ca62f9ed3d03450ee4b952ad51a3fc4030719653af2790812d",
         "local_decisions.csv": "ec2ce5ab9cd95c9e9e929dcebb4d46de8ef07d8e465c6295296ea2eb44222342",
         "local_decisions_faulty.csv": "a71278f4e60541d5df181d85de27d7647f92aa0a9f511912bbe15d8d099a9d80",
-        "summary.csv": "726e841afb7fb3e1f57264aebe27064b55581a2b74e4eb142c0c3a4595542609",
+        "summary.csv": "714f6cf6da58be0decbeb382e468a0d05d6682252d0e2f3a864058718361a717",
     },
     "alpha-table": {
         "final_decisions.csv": "0ce67c8bf516756b3ba08c0b2fceb7ee19a03d1f6b332d7ae34cf02373eb0fa5",
         "final_decisions_faulty.csv": "ebcb175584207440e0a9a5be01b0b61e6e2d0900df0aae789013cb175279c7a8",
         "local_decisions.csv": "ec2ce5ab9cd95c9e9e929dcebb4d46de8ef07d8e465c6295296ea2eb44222342",
         "local_decisions_faulty.csv": "3643e5f3cf01709e4e891e87c4af7d6bd3a7e795972497897218a44afce9635a",
-        "summary.csv": "6d4bb36dc91ac31c2b2c4c270309ca4e5ad26b845cc72e41ab08ca8936b629c0",
+        "summary.csv": "9656abc6319aa79e8b97e6bd44075dc919a1ed3aaaed9a5c9d179bdf593eb04a",
     },
 }
 
@@ -278,6 +279,15 @@ class TestRunSingle:
         artifacts = run_single(small_config(p_f=0.12, sensor_count=200), tmp_path)
         assert artifacts.summary["fault_count"] == math.floor(0.12 * 200)
 
+    @pytest.mark.parametrize("p_f, faults", [(0.25, 50), (1.0, 200)])
+    def test_fault_count_uses_configured_p_f(self, tmp_path, p_f, faults):
+        # Six shares of p_f / 6 add up to one ulp under these p_f values;
+        # the count and the summary follow p_f itself.
+        artifacts = run_single(small_config(p_f=p_f, sensor_count=200), tmp_path)
+        assert artifacts.summary["fault_count"] == faults
+        assert artifacts.summary["p_f"] == p_f
+        assert artifacts.result.faulty.sum() == faults
+
     @pytest.mark.parametrize("mode", sorted(GOLDEN_SIMULATE_DIGESTS))
     def test_seeded_artifacts_match_golden_digests(self, tmp_path, capsys, mode):
         code = main([
@@ -454,6 +464,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 2
         assert "error" in captured.err
+
+    def test_non_utf8_config_exit_two(self, tmp_path, capsys):
+        conf = tmp_path / "latin1.conf"
+        conf.write_bytes(b"sensor_count = 100 # \xff\n")
+        assert main(["optimize", "--config", str(conf)]) == 2
+        err = capsys.readouterr().err
+        assert str(conf) in err and "utf-8" in err
+        with pytest.raises(ConfigError, match="latin1.conf"):
+            load_config(conf)
 
     def test_unknown_config_key_exit_two(self, tmp_path):
         conf = tmp_path / "bad.conf"

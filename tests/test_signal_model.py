@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from dualdetect import Hypothesis, Priors, SignalModel, normal_cdf
+from dualdetect.signal_model import CODES
 
 # Verified against direct quadrature of the standard normal density.
 PHI_1_5 = 0.9331927987311419
@@ -24,13 +25,12 @@ class TestHypothesis:
         assert Hypothesis.EVENT1.code == 1
         assert Hypothesis.EVENT2.code == -1
 
-    def test_round_trip(self):
-        for hypothesis in Hypothesis:
-            assert Hypothesis.from_code(hypothesis.code) is hypothesis
-
-    def test_bad_code_rejected(self):
-        with pytest.raises(ValueError):
-            Hypothesis.from_code(2)
+    def test_code_table(self):
+        # Every per-label table is indexed by code % 3 in CODES order.
+        assert CODES.dtype == np.int8
+        assert sorted(CODES.tolist()) == sorted(h.code for h in Hypothesis)
+        for code in CODES.tolist():
+            assert CODES[code % 3] == code
 
 
 class TestSignalModel:
