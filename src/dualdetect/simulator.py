@@ -10,10 +10,12 @@ Faults corrupt reported decisions between the local and fusion stages.
 Two realizations are available:
 
 ``forced-change``
-    Exactly floor(P_f * N) distinct sensors are drawn and each one's
-    decision is replaced by one of the other two labels, chosen with
-    probability proportional to the fault matrix's off-diagonal entries
-    in its current label's row (an even split when both are zero).
+    Exactly floor(P_f * N) distinct sensors are drawn, the product taken
+    exactly on P_f's shortest decimal form (0.29 * 100 is 29), and each
+    one's decision is replaced by one of the other two labels, chosen
+    with probability proportional to the fault matrix's off-diagonal
+    entries in its current label's row (an even split when both are
+    zero).
 
 ``alpha-table``
     Every sensor independently draws its report from its decision's row
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -176,21 +179,34 @@ def _nearest_neighbors(positions: np.ndarray, n: int, include_self: bool) -> np.
     ``include_self`` false the sensor itself is never listed.
 
     The search is a cell list (Allen & Tildesley, *Computer Simulation
-    of Liquids*). Square cells of side h hold about n sensors each on
+    of Liquids*). Square cells of side h hold about n/2 sensors each on
     average, and a sensor's candidates are the sensors in the
     (2r+1)x(2r+1) block of cells around its own, starting at r = 1.
+    Cell ids run along y within each column of the grid, so once the
+    sensors are sorted by cell id, the block's cells in one column hold
+    one contiguous run of them and a row's candidates are 2r+1 runs.
     Every sensor outside the block lies at least r*h away, so a row
-    whose n-th candidate is nearer than that is exact. The remaining
-    rows are searched again with r one larger, until the block covers
-    the whole grid. Memory is O(N*n) for layouts as even as a uniform
-    scatter; a dense cluster makes the blocks around it large.
+    whose n-th candidate is nearer than that is exact, whatever h is;
+    smaller cells only mean fewer candidates and a few more rows that
+    need a second ring. Each row's n nearest candidates are picked with a
+    partial selection (``argpartition``, Musser's introselect) and then
+    sorted by (distance, index). A selection may keep any of several
+    candidates tied at the n-th distance, so rows with more than n
+    candidates at or below it (lattices, coincident sensors) are sorted
+    in full instead; every tie then goes to the lower index.
+
+    Rows that are not yet exact are searched again with r one larger,
+    until the block covers the whole grid. Memory is O(N*n) for layouts
+    as even as a uniform scatter; a dense cluster makes the blocks
+    around it large.
     """
     count = positions.shape[0]
     lo = positions.min(axis=0)
     span = positions.max(axis=0) - lo
     # The second term caps the cells along a thin strip, so there are at
-    # most 3 * count / n + 1 cells; sensors all at one point share one.
-    h = max(math.sqrt(span[0] * span[1] * n / count), span.max() * n / count) or 1.0
+    # most 4.1 * count / n + 1 cells; sensors all at one point share one.
+    h = max(0.7 * math.sqrt(span[0] * span[1] * n / count),
+            span.max() * n / count) or 1.0
     shape = (span // h).astype(np.int64) + 1
     cell_xy = np.minimum(((positions - lo) // h).astype(np.int64), shape - 1)
     cell = cell_xy[:, 0] * shape[1] + cell_xy[:, 1]
@@ -199,38 +215,49 @@ def _nearest_neighbors(positions: np.ndarray, n: int, include_self: bool) -> np.
     # Rounding in the floor division can put a sensor past its cell's edge
     # by a few ulps of the span, and the span is at most count / n cells.
     slack = 1.0 - 1e-14 * (count + 1)
-    # Row `count` pads candidate lists; its distance is always inf.
-    padded = np.vstack([positions, np.full((1, 2), np.inf)])
+    # Candidates are slots in by_cell order; slot `count` pads candidate
+    # lists and its distance is always inf.
+    xs = np.append(positions[by_cell, 0], np.inf)
+    ys = np.append(positions[by_cell, 1], np.inf)
+    ids = np.append(by_cell, count)
 
     neighbors = np.empty((count, n), dtype=np.int64)
     rows = np.arange(count)
     r = 1
     while rows.size:
-        offsets = np.arange(-r, r + 1)
-        bx = cell_xy[rows, 0, None] + offsets
-        by = cell_xy[rows, 1, None] + offsets
-        inside = (((bx >= 0) & (bx < shape[0]))[:, :, None]
-                  & ((by >= 0) & (by < shape[1]))[:, None, :]).reshape(rows.size, -1)
-        block = (bx[:, :, None] * shape[1] + by[:, None, :]).reshape(rows.size, -1)
-        block[~inside] = 0
-        starts = bounds[block]
-        lengths = (bounds[block + 1] - starts) * inside
+        columns = cell_xy[rows, 0, None] + np.arange(-r, r + 1)
+        inside = (columns >= 0) & (columns < shape[0])
+        first = columns * shape[1] + np.maximum(cell_xy[rows, 1] - r, 0)[:, None]
+        stop = columns * shape[1] + np.minimum(cell_xy[rows, 1] + r + 1, shape[1])[:, None]
+        starts = bounds[np.where(inside, first, 0)]
+        lengths = bounds[np.where(inside, stop, 0)] - starts
         per_row = lengths.sum(axis=1)
         starts, lengths = starts.ravel(), lengths.ravel()
-        # Each row's candidates, concatenated row after row, as positions in by_cell.
+        # Each row's candidates, concatenated row after row.
         ends = np.cumsum(lengths)
-        flat = np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
-        cand = np.full((rows.size, per_row.max()), count)
-        cand[np.arange(cand.shape[1]) < per_row[:, None]] = by_cell[flat]
+        # At least n wide: a row short of n candidates pads to inf and waits
+        # for a larger ring.
+        width = max(n, per_row.max())
+        cand = np.full((rows.size, width), count)
+        cand[np.arange(width) < per_row[:, None]] = (
+            np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths))
 
-        d2 = np.square(positions[rows, 0, None] - padded[cand, 0])
-        d2 += np.square(positions[rows, 1, None] - padded[cand, 1])
+        d2 = np.square(positions[rows, 0, None] - xs[cand])
+        d2 += np.square(positions[rows, 1, None] - ys[cand])
         if not include_self:
-            d2[cand == rows[:, None]] = np.inf
-        best = np.lexsort((cand, d2), axis=1)[:, :n]
-        nth = np.take_along_axis(d2, best[:, -1:], axis=1)[:, 0]
+            d2[ids[cand] == rows[:, None]] = np.inf
+        part = np.argpartition(d2, n - 1, axis=1)[:, :n]
+        kept = np.take_along_axis(d2, part, axis=1)
+        nth = kept[:, -1]
         done = (nth < (r * h) ** 2 * slack) | (r >= shape.max() - 1)
-        neighbors[rows[done]] = np.take_along_axis(cand[done], best[done], axis=1)
+        tied = done & (np.count_nonzero(d2 <= nth[:, None], axis=1) > n)
+        found = ids[np.take_along_axis(cand, part, axis=1)]
+        found = np.take_along_axis(found, np.lexsort((found, kept), axis=1), axis=1)
+        if tied.any():
+            tied_ids = ids[cand[tied]]
+            best = np.lexsort((tied_ids, d2[tied]), axis=1)[:, :n]
+            found[tied] = np.take_along_axis(tied_ids, best, axis=1)
+        neighbors[rows[done]] = found[done]
         rows = rows[~done]
         r += 1
     return neighbors
@@ -269,7 +296,9 @@ def _inject_forced_change(
     local: np.ndarray, spec: FaultSpec, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     count = local.shape[0]
-    n_faulty = int(math.floor(spec.model.total_probability * count))
+    # The floor of the decimal product: the double nearest 0.29 lies
+    # below it, so 0.29 * 100 would floor to 28 in floating point.
+    n_faulty = math.floor(Fraction(repr(float(spec.model.total_probability))) * count)
     faulty = np.zeros(count, dtype=bool)
     reported = local.copy()
     if n_faulty == 0:

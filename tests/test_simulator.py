@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from dualdetect import (
     FaultModel,
@@ -18,7 +19,7 @@ from dualdetect import (
     run_detection,
 )
 from dualdetect.decision_rules import LikelihoodThresholds
-from dualdetect.simulator import _nearest_neighbors
+from dualdetect.simulator import _inject_forced_change, _nearest_neighbors
 
 
 def default_config(**overrides):
@@ -36,11 +37,16 @@ def default_config(**overrides):
 
 
 def _layout(name, count, rng):
-    """Sensor positions: a uniform field, a lattice full of duplicates, or a thin strip."""
+    """Sensor positions: a uniform field, a lattice full of duplicates, a
+    thin strip, or a uniform field with half its sensors in a dense blob."""
     if name == "uniform":
         return rng.uniform(0.0, 20.0, size=(count, 2))
     if name == "lattice":
         return rng.integers(0, 5, size=(count, 2)).astype(float)
+    if name == "cluster":
+        # The blob's rows have many times the mean candidate count.
+        blob = rng.normal(10.0, 0.1, size=(count // 2, 2))
+        return np.vstack([rng.uniform(0.0, 20.0, size=(count - count // 2, 2)), blob])
     return rng.uniform((0.0, 0.0), (50.0, 3.0), size=(count, 2))
 
 
@@ -176,7 +182,7 @@ class TestNearestNeighbors:
 
     @pytest.mark.parametrize("include_self", [True, False])
     @pytest.mark.parametrize("count", [2, 3, 9, 40, 150, 600])
-    @pytest.mark.parametrize("layout", ["uniform", "lattice", "strip"])
+    @pytest.mark.parametrize("layout", ["uniform", "lattice", "strip", "cluster"])
     def test_matches_oracle(self, layout, count, include_self):
         rng = np.random.default_rng(count)
         positions = _layout(layout, count, rng)
@@ -187,6 +193,26 @@ class TestNearestNeighbors:
                 err_msg=f"n={n}",
             )
 
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_large_uniform_matches_kd_tree(self, include_self):
+        # Too large for the N x N oracle: a k-d tree proposes n + 3
+        # candidates per row, which are re-ranked by the float64
+        # (dx*dx + dy*dy, index) key the search itself uses.
+        count, n = 20_000, 5
+        positions = np.random.default_rng(20).uniform(0.0, 20.0, size=(count, 2))
+        _, cand = cKDTree(positions).query(positions, k=n + 4)
+        if include_self:
+            cand = cand[:, :-1]
+        else:
+            cand = cand[cand != np.arange(count)[:, None]].reshape(count, n + 3)
+        dx = positions[:, None, 0] - positions[cand, 0]
+        dy = positions[:, None, 1] - positions[cand, 1]
+        best = np.lexsort((cand, dx * dx + dy * dy), axis=1)[:, :n]
+        np.testing.assert_array_equal(
+            _nearest_neighbors(positions, n, include_self),
+            np.take_along_axis(cand, best, axis=1),
+        )
+
     def test_lattice_ties_keep_lowest_indices(self):
         # Many sensors share each lattice point: every tie must go to
         # the lower index, not to whichever tied candidates a partial
@@ -195,6 +221,18 @@ class TestNearestNeighbors:
         neighbors = _nearest_neighbors(positions, 5, include_self=True)
         np.testing.assert_array_equal(neighbors[15], [15, 26, 40, 65, 2])
         np.testing.assert_array_equal(neighbors, _oracle_neighbors(positions, 5, True))
+
+    def test_rows_short_of_n_candidates_wait_for_a_larger_ring(self):
+        # Six sensors on every point of a 5 x 5 unit lattice but one, which
+        # holds a single sensor. The cells are about 0.33 wide, so the lone
+        # sensor finds only itself within two rings, and the second round
+        # has no row with n = 2 candidates.
+        points = np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0)), axis=-1).reshape(-1, 2)
+        positions = np.vstack([points[:1], np.repeat(points[1:], 6, axis=0)])
+        np.testing.assert_array_equal(
+            _nearest_neighbors(positions, 2, include_self=True),
+            _oracle_neighbors(positions, 2, True),
+        )
 
     @pytest.mark.parametrize("include_self", [True, False])
     @pytest.mark.parametrize("layout", ["point", "horizontal", "vertical"])
@@ -296,6 +334,21 @@ class TestRunDetection:
         changed = result.reported != result.local
         assert int(changed.sum()) == 24
         np.testing.assert_array_equal(changed, result.faulty)
+
+    @pytest.mark.parametrize("p_f, count, expected", [
+        # The double nearest each of these p_f lies below it, so the
+        # float product would floor one fault short.
+        (0.29, 100, 29), (0.57, 100, 57), (0.58, 100, 58), (0.35, 700, 245),
+        (np.float64(0.29), 100, 29),
+        # The experiments' rates keep the float product's count.
+        *((p_f, count, math.floor(p_f * count))
+          for p_f in (0.12, 0.24, 0.36) for count in (200, 400, 700, 1000, 4000)),
+    ])
+    def test_forced_change_count_is_decimal_floor(self, p_f, count, expected):
+        spec = FaultSpec(FaultModel.uniform_split(p_f), "forced-change")
+        local = np.zeros(count, dtype=np.int8)
+        _, faulty = _inject_forced_change(local, spec, np.random.default_rng(0))
+        assert int(faulty.sum()) == expected
 
     def test_forced_change_flips_every_selected_sensor(self):
         faults = FaultSpec(FaultModel.uniform_split(0.3), "forced-change")
