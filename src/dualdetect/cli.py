@@ -98,10 +98,7 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     config = _load(args)
-    result = minimize_error(
-        config.signal_model(), config.priors(), config.fusion_params(),
-        config.fault_model(),
-    )
+    result = minimize_error(*config.objective())
     print(f"lambda1 = {result.lambda1!r}")
     print(f"lambda2 = {result.lambda2!r}")
     print(f"error_probability = {result.objective_value!r}")

@@ -71,7 +71,8 @@ class ExperimentConfig:
     Defaults reproduce the reference scenario: a 20 x 20 field with 200
     sensors, a 10 x 10 first-event region in the lower-left corner, an
     8 x 8 second-event region in the upper-right corner, 3-of-5 fusion,
-    means (0, 3, 6) and priors (0.59, 0.25, 0.16).
+    means (0, 3, 6) and priors (0.59, 0.25, 0.16). Building one, directly
+    or through ``dataclasses.replace``, raises ConfigError on a bad value.
     """
 
     width: float = 20.0
@@ -96,6 +97,27 @@ class ExperimentConfig:
     lambda1: float | None = None
     lambda2: float | None = None
     output_dir: str = "runs"
+
+    def __post_init__(self) -> None:
+        """Run every derived constructor so a bad value fails here."""
+        try:
+            self.signal_model()
+            self.priors()
+            self.fusion_params()
+            self.field_config()
+            # A zero fault model stands in so fault_mode is checked without faults.
+            FaultSpec(self.fault_model() or FaultModel.uniform_split(0.0), self.fault_mode)
+            if self.alphas is not None and self.p_f != 0.0:
+                raise ConfigError("give either p_f or alpha1..alpha6, not both")
+            self.threshold_override()
+            if self.repetitions < 1:
+                raise ConfigError(f"repetitions must be positive, got {self.repetitions}")
+            if self.seed < 0:
+                raise ConfigError(f"seed must not be negative, got {self.seed}")
+        except ConfigError:
+            raise
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(str(exc)) from exc
 
     # -- derived building blocks -------------------------------------
 
@@ -140,26 +162,9 @@ class ExperimentConfig:
             raise ConfigError("lambda1 and lambda2 must be given together")
         return None
 
-    def validate(self) -> "ExperimentConfig":
-        """Run every derived constructor so bad values fail fast."""
-        try:
-            self.signal_model()
-            self.priors()
-            self.fusion_params()
-            self.field_config()
-            self.fault_spec()
-            if self.alphas is not None and self.p_f != 0.0:
-                raise ConfigError("give either p_f or alpha1..alpha6, not both")
-            self.threshold_override()
-            if self.repetitions < 1:
-                raise ConfigError(f"repetitions must be positive, got {self.repetitions}")
-            if self.seed < 0:
-                raise ConfigError(f"seed must not be negative, got {self.seed}")
-        except ConfigError:
-            raise
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc)) from exc
-        return self
+    def objective(self) -> tuple:
+        """Everything the threshold search depends on, in its argument order."""
+        return (self.signal_model(), self.priors(), self.fusion_params(), self.fault_model())
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +257,7 @@ def load_config(
     unknown = values.keys() - CONFIG_KEYS.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        config = ExperimentConfig(**values)  # type: ignore[arg-type]
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return config.validate()
+    return ExperimentConfig(**values)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +267,6 @@ def load_config(
 class SingleRunArtifacts:
     """Paths and headline numbers produced by one `simulate` call."""
 
-    config: ExperimentConfig
     thresholds: LikelihoodThresholds
     optimization: OptimizationResult | None
     result: RunResult
@@ -274,21 +274,11 @@ class SingleRunArtifacts:
     paths: tuple[Path, ...]
 
 
-def _objective(config: ExperimentConfig) -> tuple:
-    """Everything the threshold search depends on, in its argument order."""
-    return (
-        config.signal_model(),
-        config.priors(),
-        config.fusion_params(),
-        config.fault_model(),
-    )
-
-
 def _optimize_for(config: ExperimentConfig) -> tuple[LikelihoodThresholds, OptimizationResult | None]:
     override = config.threshold_override()
     if override is not None:
         return override, None
-    result = minimize_error(*_objective(config))
+    result = minimize_error(*config.objective())
     return result.thresholds, result
 
 
@@ -353,7 +343,6 @@ def run_single(config: ExperimentConfig, output_dir: str | Path | None = None) -
     error percentage in the summary is recomputable from the matching
     scatter file.
     """
-    config = config.validate()
     out = make_output_dir(Path(output_dir if output_dir is not None else config.output_dir))
 
     thresholds, optimization = _optimize_for(config)
@@ -399,7 +388,6 @@ def run_single(config: ExperimentConfig, output_dir: str | Path | None = None) -
     paths.append(summary_path)
 
     return SingleRunArtifacts(
-        config=config,
         thresholds=thresholds,
         optimization=optimization,
         result=result,
@@ -427,7 +415,6 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepSummary:
-    param: str
     rows: tuple[SweepRow, ...]
 
     @property
@@ -483,7 +470,6 @@ def run_sweep(base: ExperimentConfig, param: str, values: list[str]) -> SweepSum
     decision errors before (ld_bf, fd_bf) and after (ld_af, fd_af)
     fault injection.
     """
-    base = base.validate()
     if not values:
         raise ConfigError("sweep needs at least one value")
     rows = []
@@ -491,8 +477,7 @@ def run_sweep(base: ExperimentConfig, param: str, values: list[str]) -> SweepSum
     searches: dict[tuple, tuple[LikelihoodThresholds, OptimizationResult | None]] = {}
     for raw in values:
         cell, label = _apply_sweep_value(base, param, raw)
-        cell = cell.validate()
-        key = (_objective(cell), cell.threshold_override())
+        key = (cell.objective(), cell.threshold_override())
         if key not in searches:
             searches[key] = _optimize_for(cell)
         thresholds, optimization = searches[key]
@@ -525,4 +510,4 @@ def run_sweep(base: ExperimentConfig, param: str, values: list[str]) -> SweepSum
                 converged=optimization.converged if optimization is not None else True,
             )
         )
-    return SweepSummary(param=param, rows=tuple(rows))
+    return SweepSummary(rows=tuple(rows))

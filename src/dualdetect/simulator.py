@@ -47,7 +47,7 @@ __all__ = [
     "RunResult",
     "generate_field",
     "run_detection",
-    "fuse_decisions",
+    "FAULT_MODES",
 ]
 
 FAULT_MODES = ("forced-change", "alpha-table")
@@ -301,8 +301,6 @@ def _inject_forced_change(
     n_faulty = math.floor(Fraction(repr(float(spec.model.total_probability))) * count)
     faulty = np.zeros(count, dtype=bool)
     reported = local.copy()
-    if n_faulty == 0:
-        return reported, faulty
     chosen = rng.choice(count, size=n_faulty, replace=False)
     faulty[chosen] = True
 

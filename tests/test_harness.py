@@ -15,6 +15,7 @@ from dualdetect import (
     harness,
     load_config,
     minimize_error,
+    optimize,
     parse_config_text,
     run_single,
     run_sweep,
@@ -198,6 +199,8 @@ class TestKeyParity:
         ["simulate", "--seed", "-1"],
         ["simulate", "--width", "inf"],
         ["sweep", "--param", "p_f", "--values=-0.3"],
+        ["simulate", "--repetitions", "0"],
+        ["simulate", "--alphas", "0.6,0.6,0,0,0,0"],
     ])
     def test_out_of_range_flag_value_exit_two(self, argv, capsys):
         assert main(argv) == 2
@@ -207,22 +210,29 @@ class TestKeyParity:
 class TestConfigValidation:
     def test_quorum_larger_than_neighborhood(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(neighborhood_size=3, quorum=4).validate()
+            ExperimentConfig(neighborhood_size=3, quorum=4)
 
     def test_lambda_override_must_be_paired(self):
         with pytest.raises(ConfigError, match="together"):
-            ExperimentConfig(lambda1=1.0).validate()
+            ExperimentConfig(lambda1=1.0)
 
     def test_pf_and_alphas_are_exclusive(self):
         with pytest.raises(ConfigError, match="not both"):
-            ExperimentConfig(p_f=0.1, alphas=(0.02,) * 6).validate()
+            ExperimentConfig(p_f=0.1, alphas=(0.02,) * 6)
+
+    @pytest.mark.parametrize("changes", [
+        {"quorum": 9}, {"lambda1": 1.0}, {"fault_mode": "bogus"},
+    ], ids=["quorum", "lambda1", "fault_mode"])
+    def test_replace_rejects_invalid_values(self, changes):
+        with pytest.raises(ConfigError):
+            replace(ExperimentConfig(), **changes)
 
     def test_alphas_define_fault_probability(self):
-        config = ExperimentConfig(alphas=(0.02,) * 6).validate()
+        config = ExperimentConfig(alphas=(0.02,) * 6)
         assert config.fault_spec().model.total_probability == pytest.approx(0.12)
 
     def test_defaults_are_valid(self):
-        ExperimentConfig().validate()
+        ExperimentConfig()
 
 
 class TestRunSingle:
@@ -457,13 +467,38 @@ class TestCli:
         assert code == 0
         assert "lambda1" in captured.out
 
-    def test_config_error_exit_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", [
+        "quorum = 9\nneighborhood_size = 3\n",
+        # Checked even though p_f = 0 leaves nothing to read it.
+        "fault_mode = bogus\n",
+        "include_self = maybe\n",
+    ], ids=["quorum", "fault_mode", "include_self"])
+    def test_config_error_exit_two(self, tmp_path, capsys, text):
         conf = tmp_path / "bad.conf"
-        conf.write_text("quorum = 9\nneighborhood_size = 3\n")
+        conf.write_text(text)
         code = main(["simulate", "--config", str(conf)])
         captured = capsys.readouterr()
         assert code == 2
         assert "error" in captured.err
+
+    def test_simulate_not_converged_exit_three(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(optimize, "MAX_REFINE_EVALUATIONS", 4)
+        out = tmp_path / "runs"
+        code = main(["simulate", "--sensor-count", "60", "--output-dir", str(out)])
+        assert code == 3
+        assert "did not converge" in capsys.readouterr().err
+        assert "optimizer_converged,0" in (out / "summary.csv").read_text().splitlines()
+
+    def test_sweep_not_converged_exit_three(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(optimize, "MAX_REFINE_EVALUATIONS", 4)
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--param", "p_f", "--values", "0.12", "--repetitions", "1",
+                     "--sensor-count", "60", "--output", str(out)])
+        assert code == 3
+        assert "did not converge" in capsys.readouterr().err
+        header, rows = read_csv(out)
+        assert ",".join(header) == SWEEP_CSV_HEADER
+        assert len(rows) == 1
 
     def test_non_utf8_config_exit_two(self, tmp_path, capsys):
         conf = tmp_path / "latin1.conf"

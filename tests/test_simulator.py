@@ -339,7 +339,7 @@ class TestRunDetection:
         # The double nearest each of these p_f lies below it, so the
         # float product would floor one fault short.
         (0.29, 100, 29), (0.57, 100, 57), (0.58, 100, 58), (0.35, 700, 245),
-        (np.float64(0.29), 100, 29),
+        (np.float64(0.29), 100, 29), (0.004, 200, 0),
         # The experiments' rates keep the float product's count.
         *((p_f, count, math.floor(p_f * count))
           for p_f in (0.12, 0.24, 0.36) for count in (200, 400, 700, 1000, 4000)),
