@@ -11,6 +11,7 @@ seeded repetitions, and writes one CSV row per value.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -274,12 +275,33 @@ class SingleRunArtifacts:
     paths: tuple[Path, ...]
 
 
-def _optimize_for(config: ExperimentConfig) -> tuple[LikelihoodThresholds, OptimizationResult | None]:
-    override = config.threshold_override()
-    if override is not None:
-        return override, None
-    result = minimize_error(*config.objective())
-    return result.thresholds, result
+_Searches = dict[tuple, tuple[LikelihoodThresholds, OptimizationResult | None]]
+
+
+def _prepare_cell(config: ExperimentConfig, searches: _Searches) -> tuple[
+    LikelihoodThresholds, OptimizationResult | None, Callable[[np.random.Generator], RunResult]
+]:
+    """Thresholds for ``config``, the search behind them, and its realization runner.
+
+    ``searches`` maps (objective, override) to the first two, filled on
+    first use. The runner generates one field per generator and runs
+    detection on it with that generator.
+    """
+    key = (config.objective(), config.threshold_override())
+    if key not in searches:
+        objective, override = key
+        optimization = None if override is not None else minimize_error(*objective)
+        searches[key] = (optimization.thresholds if optimization else override, optimization)
+    thresholds, optimization = searches[key]
+    model = config.signal_model()
+    gammas = gammas_from_lambdas(model, thresholds)
+    spec = config.fault_spec()
+    field_config = config.field_config()
+
+    def realize(rng: np.random.Generator) -> RunResult:
+        return run_detection(generate_field(field_config, rng), model, gammas, spec, rng)
+
+    return thresholds, optimization, realize
 
 
 def _format_value(value: object) -> str:
@@ -345,12 +367,9 @@ def run_single(config: ExperimentConfig, output_dir: str | Path | None = None) -
     """
     out = make_output_dir(Path(output_dir if output_dir is not None else config.output_dir))
 
-    thresholds, optimization = _optimize_for(config)
-    gammas = gammas_from_lambdas(config.signal_model(), thresholds)
+    thresholds, optimization, realize = _prepare_cell(config, {})
+    result = realize(np.random.default_rng(config.seed))
     spec = config.fault_spec()
-    rng = np.random.default_rng(config.seed)
-    field = generate_field(config.field_config(), rng)
-    result = run_detection(field, config.signal_model(), gammas, spec, rng)
 
     no_fault_flags = np.zeros(config.sensor_count, dtype=bool)
     artifacts: list[tuple[str, np.ndarray, np.ndarray]] = [
@@ -364,7 +383,7 @@ def run_single(config: ExperimentConfig, output_dir: str | Path | None = None) -
                 ("final_decisions_faulty.csv", result.final, result.faulty),
             ]
         )
-    paths = _write_scatter(out, field, artifacts)
+    paths = _write_scatter(out, result.field, artifacts)
 
     summary: dict[str, object] = {
         "sensor_count": config.sensor_count,
@@ -473,24 +492,13 @@ def run_sweep(base: ExperimentConfig, param: str, values: list[str]) -> SweepSum
     if not values:
         raise ConfigError("sweep needs at least one value")
     rows = []
-    # Thresholds per distinct (objective, override), filled on first use.
-    searches: dict[tuple, tuple[LikelihoodThresholds, OptimizationResult | None]] = {}
+    searches: _Searches = {}
     for raw in values:
         cell, label = _apply_sweep_value(base, param, raw)
-        key = (cell.objective(), cell.threshold_override())
-        if key not in searches:
-            searches[key] = _optimize_for(cell)
-        thresholds, optimization = searches[key]
-        gammas = gammas_from_lambdas(cell.signal_model(), thresholds)
-        spec = cell.fault_spec()
-        model = cell.signal_model()
-        field_config = cell.field_config()
-
+        thresholds, optimization, realize = _prepare_cell(cell, searches)
         sums = np.zeros(4)
         for r in range(cell.repetitions):
-            rng = _cell_rng(cell.seed, r, param, label)
-            field = generate_field(field_config, rng)
-            result = run_detection(field, model, gammas, spec, rng)
+            result = realize(_cell_rng(cell.seed, r, param, label))
             sums += (
                 result.clean_local_error_rate,
                 result.clean_final_error_rate,
@@ -498,16 +506,8 @@ def run_sweep(base: ExperimentConfig, param: str, values: list[str]) -> SweepSum
                 result.final_error_rate,
             )
         averages = 100.0 * sums / cell.repetitions
-        rows.append(
-            SweepRow(
-                label=label,
-                ld_bf=float(averages[0]),
-                fd_bf=float(averages[1]),
-                ld_af=float(averages[2]),
-                fd_af=float(averages[3]),
-                lambda1=thresholds.lambda1,
-                lambda2=thresholds.lambda2,
-                converged=optimization.converged if optimization is not None else True,
-            )
-        )
+        rows.append(SweepRow(
+            label, *averages.tolist(), thresholds.lambda1, thresholds.lambda2,
+            converged=optimization is None or optimization.converged,
+        ))
     return SweepSummary(rows=tuple(rows))

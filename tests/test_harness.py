@@ -11,6 +11,7 @@ import pytest
 from dualdetect import (
     ConfigError,
     ExperimentConfig,
+    fusion_quality,
     generate_field,
     harness,
     load_config,
@@ -72,15 +73,35 @@ GOLDEN_SIMULATE_DIGESTS = {
 }
 
 # sha256 of `optimize` stdout and of the `sweep` CSV; the sweeps run on
-# configs/experiment2.conf with --repetitions 3.
+# configs/experiment2.conf with --repetitions 3 plus each key's extra
+# flags. Together they reach every sweep parameter, both fault modes and
+# the fixed-threshold path, which searches nothing.
 GOLDEN_OPTIMIZE_DIGESTS = {
     "experiment1.conf": "b31cc4b98c3387d8febb7f93c6cef67a391ef4a50096866a3fb775bafb15fa83",
     "experiment2.conf": "78ae9761cb84104dff0ded7b95bc381aaa1fbac784765441d9928e6c81e99400",
 }
 GOLDEN_SWEEP_DIGESTS = {
-    ("sensor_count", "200,400"): "2a299b259e083eb513021560bdefd3ba6fa74ef74083990e29e20611cb32477e",
-    ("p_f", "0.12,0.24"): "202991235bcfa3bed7990315840dbf020aeb6dac4b4adb0b35628f171eecdd9f",
+    ("sensor_count", "200,400", ()):
+        "2a299b259e083eb513021560bdefd3ba6fa74ef74083990e29e20611cb32477e",
+    ("p_f", "0.12,0.24", ()):
+        "202991235bcfa3bed7990315840dbf020aeb6dac4b4adb0b35628f171eecdd9f",
+    ("nk", "3/2,5/3,7/4", ()):
+        "ce6d2669584a713902b1b5c1e5601e2923d75ba8bdd7884a394170222f6f72c7",
+    ("means", "0/3/6,0/2/5", ()):
+        "5d5d9b5ef14922be0acc5330822f09df754941338619cbefcb5a6bfbe3e9e100",
+    ("priors", "0.59/0.25/0.16,0.875/0.0625/0.0625", ()):
+        "5b3c0294b9448387b1981676de6a75c9167a5fb1bf6639dccc115c7f67205882",
+    ("p_f", "0.0,0.12,0.24", ("--fault-mode", "alpha-table")):
+        "44f5185be1fa4e422f51fdfee8aa9e11ebf6fc27c17f14589a7dffd3521abd29",
+    ("p_f", "0.12,0.24", ("--lambda1", "1", "--lambda2", "2")):
+        "a5584aea5bac0e42e3ecd0cad1b37663aa58b9db10bf830fdbf2e77314b46f5d",
 }
+
+
+def golden_sweep_id(key):
+    """``param-values``, then the extra flags without their dashes."""
+    param, values, extra = key
+    return "-".join([param, values, *(arg.lstrip("-") for arg in extra)])
 
 
 def small_config(**overrides):
@@ -201,6 +222,7 @@ class TestKeyParity:
         ["sweep", "--param", "p_f", "--values=-0.3"],
         ["simulate", "--repetitions", "0"],
         ["simulate", "--alphas", "0.6,0.6,0,0,0,0"],
+        ["simulate", "--sensor-count", "0"],
     ])
     def test_out_of_range_flag_value_exit_two(self, argv, capsys):
         assert main(argv) == 2
@@ -318,18 +340,19 @@ class TestRunSingle:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_OPTIMIZE_DIGESTS[conf], out
 
-    @pytest.mark.parametrize("param, values", sorted(GOLDEN_SWEEP_DIGESTS))
-    def test_sweep_csv_matches_golden_digest(self, tmp_path, capsys, param, values):
+    @pytest.mark.parametrize("key", sorted(GOLDEN_SWEEP_DIGESTS), ids=golden_sweep_id)
+    def test_sweep_csv_matches_golden_digest(self, tmp_path, capsys, key):
+        param, values, extra = key
         out = tmp_path / "sweep.csv"
         code = main([
             "sweep", "--config", str(CONFIGS / "experiment2.conf"),
             "--param", param, "--values", values, "--repetitions", "3",
-            "--output", str(out),
+            *extra, "--output", str(out),
         ])
         capsys.readouterr()
         assert code == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == GOLDEN_SWEEP_DIGESTS[param, values], out.read_text()
+        assert digest == GOLDEN_SWEEP_DIGESTS[key], out.read_text()
 
     def test_scatter_writer_matches_per_cell_formatter(self, tmp_path):
         # Floats whose repr is easy to get wrong, and all six
@@ -436,6 +459,27 @@ class TestRunSweep:
         assert all((row.lambda1, row.lambda2, row.converged) == (0.9829, 1.8496, True)
                    for row in summary.rows)
 
+    @pytest.mark.parametrize("run, expected", [
+        (lambda config: run_sweep(config, "sensor_count", ["40", "50", "60"]), (6, 6, 3)),
+        (run_single, (1, 1, 1)),
+    ], ids=["sweep", "single"])
+    def test_run_path_calls_module_bindings(self, tmp_path, monkeypatch, run, expected):
+        # The benchmark tracer counts these calls by patching the names in
+        # the harness module, so the run path must look them up there.
+        names = ("generate_field", "run_detection", "gammas_from_lambdas")
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name, func):
+            def wrapper(*args):
+                calls[name] += 1
+                return func(*args)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+        run(small_config(repetitions=2, output_dir=str(tmp_path)))
+        assert tuple(calls.values()) == expected
+
     def test_unknown_param_rejected(self):
         with pytest.raises(ConfigError, match="sweep parameter"):
             run_sweep(small_config(), "variance", ["1"])
@@ -513,6 +557,8 @@ class TestCli:
         conf = tmp_path / "bad.conf"
         conf.write_text("sensor_cout = 10\n")
         assert main(["optimize", "--config", str(conf)]) == 2
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            load_config(None, {"bogus": 1})
 
     def test_simulate_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "runs"
@@ -545,6 +591,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 0
         assert "agreement" in captured.out
+
+    def test_oracle_check_mismatch_exit_one(self, capsys, monkeypatch):
+        def shifted(metrics, params):
+            quality = fusion_quality(metrics, params)
+            return replace(quality, q_d1=quality.q_d1 + 1e-3)
+
+        monkeypatch.setattr("dualdetect.cli.fusion_quality", shifted)
+        code = main(["oracle-check", "--trials", "2", "--seed", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "MISMATCH" in captured.err
+        assert "agreement" not in captured.out
 
     @pytest.mark.parametrize("argv", [
         ["--n", "13"], ["--n", "3", "--k", "5"], ["--trials", "0"], ["--trials", "-3"],
