@@ -325,9 +325,9 @@ def make_output_dir(path: Path) -> Path:
     return path
 
 
-# The "decision,faulty" suffix of a scatter row, at 2 * (code % 3) + faulty.
+# The "decision,faulty\n" end of a scatter row, at 2 * (code % 3) + faulty.
 _SCATTER_SUFFIXES = np.array(
-    [f"{code},{flag}" for code in CODES for flag in (0, 1)], dtype=object
+    [f"{code},{flag}\n" for code in CODES for flag in (0, 1)], dtype=object
 )
 
 
@@ -336,10 +336,14 @@ def _write_scatter(
 ) -> list[Path]:
     """Write one x,y,truth,decision,faulty CSV per (name, decisions, flags).
 
-    The files share x, y and truth, so those are formatted once. Python
+    The files share x, y and truth, so those are formatted once, into
+    the odd slots of one list of parts after the header; each file
+    fills the even slots with its row ends and joins the list. Python
     floats' repr is the shortest string that reads back exactly.
     """
-    prefixes = [
+    parts = [""] * (2 * field.truth.size + 1)
+    parts[0] = f"{SCATTER_CSV_HEADER}\n"
+    parts[1::2] = [
         f"{x!r},{y!r},{t},"
         for x, y, t in zip(
             field.positions[:, 0].tolist(),
@@ -349,10 +353,9 @@ def _write_scatter(
     ]
     paths = []
     for name, decisions, flags in files:
-        suffixes = _SCATTER_SUFFIXES[2 * (decisions % 3) + flags].tolist()
-        rows = "\n".join(map(str.__add__, prefixes, suffixes))
+        parts[2::2] = _SCATTER_SUFFIXES[2 * (decisions % 3) + flags].tolist()
         path = out / name
-        path.write_text(f"{SCATTER_CSV_HEADER}\n{rows}\n")
+        path.write_text("".join(parts))
         paths.append(path)
     return paths
 

@@ -170,6 +170,11 @@ class RunResult:
         return int(self.faulty.sum())
 
 
+# Padded candidates (rows x width) one selection step holds: each of its
+# float64 and int64 arrays then takes 256 KiB, which fits a core's L2 cache.
+_CHUNK_CANDIDATES = 2**15
+
+
 def _nearest_neighbors(positions: np.ndarray, n: int, include_self: bool) -> np.ndarray:
     """Indices of each sensor's n nearest sensors, nearest first.
 
@@ -184,23 +189,32 @@ def _nearest_neighbors(positions: np.ndarray, n: int, include_self: bool) -> np.
     (2r+1)x(2r+1) block of cells around its own, starting at r = 1.
     Cell ids run along y within each column of the grid, so once the
     sensors are sorted by cell id, the block's cells in one column hold
-    one contiguous run of them and a row's candidates are 2r+1 runs.
+    one contiguous run of them and a cell's candidates are 2r+1 runs,
+    built once and shared by every row in that cell.
     Every sensor outside the block lies at least r*h away, so a row
     whose n-th candidate is nearer than that is exact, whatever h is;
     smaller cells only mean fewer candidates and a few more rows that
-    need a second ring. Each row's n nearest candidates are picked with a
-    partial selection (``argpartition``, Musser's introselect) and then
-    sorted by (distance, index). A selection may keep any of several
-    candidates tied at the n-th distance, so rows with more than n
-    candidates at or below it (lattices, coincident sensors) are sorted
-    in full instead; every tie then goes to the lower index.
+    need a second ring. Each row's n-th smallest distance is found by a
+    partial selection (``partition``, Musser's introselect), and the
+    candidates at or below it, exactly n unless there is a tie, are
+    sorted by (distance, index). Rows with more than n candidates at or
+    below it (lattices, coincident sensors) are sorted in full instead,
+    so every tie goes to the lower index.
 
     Rows that are not yet exact are searched again with r one larger,
-    until the block covers the whole grid. Memory is O(N*n) for layouts
-    as even as a uniform scatter; a dense cluster makes the blocks
-    around it large.
+    until the block covers the whole grid. Within a round the cells are
+    taken in order of candidate count and cut into chunks of at most
+    ``_CHUNK_CANDIDATES`` padded candidates (rows x widest row), a
+    cell's rows split across chunks if need be; only a single row with
+    more candidates than that makes a larger chunk, of that one row.
+    Distances are held for one chunk at a time, so a dense cluster
+    costs more chunks, not more memory: beyond the chunk, a round holds
+    O(r) integers per pending row and the result O(N*n).
     """
     count = positions.shape[0]
+    # Past the last ring a row short of n candidates would wait forever.
+    if not 1 <= n <= count - (not include_self):
+        raise ValueError(f"cannot list {n} neighbours among {count} sensors")
     lo = positions.min(axis=0)
     span = positions.max(axis=0) - lo
     # The second term caps the cells along a thin strip, so there are at
@@ -211,12 +225,13 @@ def _nearest_neighbors(positions: np.ndarray, n: int, include_self: bool) -> np.
     cell_xy = np.minimum(((positions - lo) // h).astype(np.int64), shape - 1)
     cell = cell_xy[:, 0] * shape[1] + cell_xy[:, 1]
     by_cell = np.argsort(cell, kind="stable")
-    bounds = np.searchsorted(cell[by_cell], np.arange(shape[0] * shape[1] + 1))
+    slot_cell = cell[by_cell]
+    bounds = np.searchsorted(slot_cell, np.arange(shape[0] * shape[1] + 1))
     # Rounding in the floor division can put a sensor past its cell's edge
     # by a few ulps of the span, and the span is at most count / n cells.
     slack = 1.0 - 1e-14 * (count + 1)
-    # Candidates are slots in by_cell order; slot `count` pads candidate
-    # lists and its distance is always inf.
+    # Rows and candidates are slots in by_cell order; slot `count` pads
+    # candidate lists and its distance is always inf.
     xs = np.append(positions[by_cell, 0], np.inf)
     ys = np.append(positions[by_cell, 1], np.inf)
     ids = np.append(by_cell, count)
@@ -225,42 +240,89 @@ def _nearest_neighbors(positions: np.ndarray, n: int, include_self: bool) -> np.
     rows = np.arange(count)
     r = 1
     while rows.size:
-        columns = cell_xy[rows, 0, None] + np.arange(-r, r + 1)
+        # The occupied cells of the pending rows (ascending, so each
+        # cell's rows are adjacent), reordered by candidate count.
+        cells = slot_cell[rows]
+        edges = np.flatnonzero(np.concatenate(([True], cells[1:] != cells[:-1], [True])))
+        head, sizes = edges[:-1], edges[1:] - edges[:-1]
+        cx, cy = np.divmod(cells[head], shape[1])
+        columns = cx[:, None] + np.arange(-r, r + 1)
         inside = (columns >= 0) & (columns < shape[0])
-        first = columns * shape[1] + np.maximum(cell_xy[rows, 1] - r, 0)[:, None]
-        stop = columns * shape[1] + np.minimum(cell_xy[rows, 1] + r + 1, shape[1])[:, None]
+        first = columns * shape[1] + np.maximum(cy - r, 0)[:, None]
+        stop = columns * shape[1] + np.minimum(cy + r + 1, shape[1])[:, None]
         starts = bounds[np.where(inside, first, 0)]
         lengths = bounds[np.where(inside, stop, 0)] - starts
-        per_row = lengths.sum(axis=1)
-        starts, lengths = starts.ravel(), lengths.ravel()
-        # Each row's candidates, concatenated row after row.
-        ends = np.cumsum(lengths)
+        widths = lengths.sum(axis=1)
+        order = np.argsort(widths)
+        starts, lengths, widths = starts[order], lengths[order], widths[order]
+        head, sizes = head[order], sizes[order]
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        rows = rows[np.repeat(head - offsets[:-1], sizes) + np.arange(rows.size)]
+        group = np.repeat(np.arange(sizes.size), sizes)
         # At least n wide: a row short of n candidates pads to inf and waits
         # for a larger ring.
-        width = max(n, per_row.max())
-        cand = np.full((rows.size, width), count)
-        cand[np.arange(width) < per_row[:, None]] = (
-            np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths))
+        padded = np.maximum(widths, n).tolist()
+        # Once the block covers the whole grid, every row is exact.
+        bound = np.inf if r >= shape.max() - 1 else (r * h) ** 2 * slack
 
-        d2 = np.square(positions[rows, 0, None] - xs[cand])
-        d2 += np.square(positions[rows, 1, None] - ys[cand])
-        if not include_self:
-            d2[ids[cand] == rows[:, None]] = np.inf
-        part = np.argpartition(d2, n - 1, axis=1)[:, :n]
-        kept = np.take_along_axis(d2, part, axis=1)
-        nth = kept[:, -1]
-        done = (nth < (r * h) ** 2 * slack) | (r >= shape.max() - 1)
-        tied = done & (np.count_nonzero(d2 <= nth[:, None], axis=1) > n)
-        found = ids[np.take_along_axis(cand, part, axis=1)]
-        found = np.take_along_axis(found, np.lexsort((found, kept), axis=1), axis=1)
-        if tied.any():
-            tied_ids = ids[cand[tied]]
-            best = np.lexsort((tied_ids, d2[tied]), axis=1)[:, :n]
-            found[tied] = np.take_along_axis(tied_ids, best, axis=1)
-        neighbors[rows[done]] = found[done]
-        rows = rows[~done]
+        waiting = []
+        a = 0
+        while a < rows.size:
+            b = min(rows.size, a + max(1, _CHUNK_CANDIDATES // padded[group[a]]))
+            while b - a > 1 and (b - a) * padded[group[b - 1]] > _CHUNK_CANDIDATES:
+                b = a + max(1, _CHUNK_CANDIDATES // padded[group[b - 1]])
+            g0, g1 = group[a], group[b - 1] + 1
+            width = padded[g1 - 1]
+            chunk = rows[a:b]
+            # Each cell's candidates, its 2r+1 runs concatenated, then
+            # one copy per row of that cell in the chunk.
+            runs, run_lengths = starts[g0:g1].ravel(), lengths[g0:g1].ravel()
+            ends = np.cumsum(run_lengths)
+            cand = np.full((g1 - g0, width), count)
+            cand[np.arange(width) < widths[g0:g1, None]] = (
+                np.arange(ends[-1]) + np.repeat(runs - (ends - run_lengths), run_lengths))
+            copies = np.minimum(offsets[g0 + 1:g1 + 1], b) - np.maximum(offsets[g0:g1], a)
+            cand = np.repeat(cand, copies, axis=0)
+
+            waiting.append(
+                _settle_chunk(chunk, cand, xs, ys, ids, n, include_self, bound, neighbors))
+            a = b
+        rows = np.sort(np.concatenate(waiting))
         r += 1
     return neighbors
+
+
+def _settle_chunk(
+    chunk: np.ndarray, cand: np.ndarray, xs: np.ndarray, ys: np.ndarray, ids: np.ndarray,
+    n: int, include_self: bool, bound: float, neighbors: np.ndarray,
+) -> np.ndarray:
+    """Write the neighbours of the rows whose n-th squared distance is
+    below ``bound``; return the other rows.
+
+    ``chunk`` holds row slots and ``cand`` their candidate slots, one
+    row each, in the slot order of ``_nearest_neighbors``.
+    """
+    d2 = np.square(xs[chunk, None] - xs[cand])
+    d2 += np.square(ys[chunk, None] - ys[cand])
+    if not include_self:
+        d2[cand == chunk[:, None]] = np.inf
+    nth = np.partition(d2, n - 1, axis=1)[:, n - 1]
+    done = nth < bound
+    within = d2 <= nth[:, None]
+    tied = done & (within.sum(axis=1) > n)
+    exact = done & ~tied
+    if exact.any():
+        within[~exact] = False
+        picked = np.flatnonzero(within)
+        kept = d2.ravel()[picked].reshape(-1, n)
+        found = ids[cand.ravel()[picked]].reshape(-1, n)
+        rank = np.lexsort((found, kept), axis=1)
+        neighbors[ids[chunk[exact]]] = found[np.arange(rank.shape[0])[:, None], rank]
+    if tied.any():
+        tied_ids = ids[cand[tied]]
+        best = np.lexsort((tied_ids, d2[tied]), axis=1)[:, :n]
+        neighbors[ids[chunk[tied]]] = np.take_along_axis(tied_ids, best, axis=1)
+    return chunk[~done]
 
 
 def generate_field(config: FieldConfig, rng: np.random.Generator) -> SensorField:

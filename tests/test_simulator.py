@@ -18,6 +18,7 @@ from dualdetect import (
     generate_field,
     run_detection,
 )
+from dualdetect import simulator
 from dualdetect.decision_rules import LikelihoodThresholds
 from dualdetect.simulator import _inject_forced_change, _nearest_neighbors
 
@@ -48,6 +49,22 @@ def _layout(name, count, rng):
         blob = rng.normal(10.0, 0.1, size=(count // 2, 2))
         return np.vstack([rng.uniform(0.0, 20.0, size=(count - count // 2, 2)), blob])
     return rng.uniform((0.0, 0.0), (50.0, 3.0), size=(count, 2))
+
+
+def _kd_tree_neighbors(positions, n, include_self):
+    """For fields too large for the N x N oracle: a k-d tree proposes
+    n + 3 candidates per row, which are re-ranked by the float64
+    (dx*dx + dy*dy, index) key the search itself uses."""
+    count = positions.shape[0]
+    _, cand = cKDTree(positions).query(positions, k=n + 4)
+    if include_self:
+        cand = cand[:, :-1]
+    else:
+        cand = cand[cand != np.arange(count)[:, None]].reshape(count, n + 3)
+    dx = positions[:, None, 0] - positions[cand, 0]
+    dy = positions[:, None, 1] - positions[cand, 1]
+    best = np.lexsort((cand, dx * dx + dy * dy), axis=1)[:, :n]
+    return np.take_along_axis(cand, best, axis=1)
 
 
 def _oracle_neighbors(positions, n, include_self):
@@ -195,23 +212,44 @@ class TestNearestNeighbors:
 
     @pytest.mark.parametrize("include_self", [True, False])
     def test_large_uniform_matches_kd_tree(self, include_self):
-        # Too large for the N x N oracle: a k-d tree proposes n + 3
-        # candidates per row, which are re-ranked by the float64
-        # (dx*dx + dy*dy, index) key the search itself uses.
-        count, n = 20_000, 5
-        positions = np.random.default_rng(20).uniform(0.0, 20.0, size=(count, 2))
-        _, cand = cKDTree(positions).query(positions, k=n + 4)
-        if include_self:
-            cand = cand[:, :-1]
-        else:
-            cand = cand[cand != np.arange(count)[:, None]].reshape(count, n + 3)
-        dx = positions[:, None, 0] - positions[cand, 0]
-        dy = positions[:, None, 1] - positions[cand, 1]
-        best = np.lexsort((cand, dx * dx + dy * dy), axis=1)[:, :n]
+        positions = np.random.default_rng(20).uniform(0.0, 20.0, size=(20_000, 2))
         np.testing.assert_array_equal(
-            _nearest_neighbors(positions, n, include_self),
-            np.take_along_axis(cand, best, axis=1),
+            _nearest_neighbors(positions, 5, include_self),
+            _kd_tree_neighbors(positions, 5, include_self),
         )
+
+    def test_dense_cluster_memory_is_bounded(self):
+        # The blob puts 1,000 sensors into a few cells, so a round padded
+        # to its widest row would hold 21,000 x 1,000+ candidates (over
+        # 600 MiB); in chunks it stays small.
+        rng = np.random.default_rng(21)
+        positions = np.vstack([rng.uniform(0.0, 20.0, size=(20_000, 2)),
+                               rng.normal(7.0, 0.02, size=(1_000, 2))])
+        tracemalloc.start()
+        try:
+            neighbors = _nearest_neighbors(positions, 5, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        np.testing.assert_array_equal(neighbors, _kd_tree_neighbors(positions, 5, True))
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    @pytest.mark.parametrize("layout", ["uniform", "lattice", "strip", "cluster", "point"])
+    def test_small_chunk_budget(self, monkeypatch, layout, include_self):
+        # A budget of a few dozen candidates cuts every round into many
+        # chunks and splits the rows of crowded cells across them; at a
+        # single point all 60 sensors share one cell and each row alone
+        # exceeds the budget.
+        monkeypatch.setattr(simulator, "_CHUNK_CANDIDATES", 40)
+        rng = np.random.default_rng(22)
+        positions = np.full((60, 2), 3.0) if layout == "point" else _layout(layout, 300, rng)
+        for n in (1, 2, 5, 8):
+            np.testing.assert_array_equal(
+                _nearest_neighbors(positions, n, include_self),
+                _oracle_neighbors(positions, n, include_self),
+                err_msg=f"n={n}",
+            )
 
     def test_lattice_ties_keep_lowest_indices(self):
         # Many sensors share each lattice point: every tie must go to
@@ -251,6 +289,12 @@ class TestNearestNeighbors:
                 _oracle_neighbors(positions, n, include_self),
                 err_msg=f"n={n}",
             )
+
+    @pytest.mark.parametrize(("n", "include_self"), [(0, True), (4, True), (3, False)])
+    def test_more_neighbours_than_sensors_raises(self, n, include_self):
+        positions = np.random.default_rng(9).uniform(0.0, 1.0, size=(3, 2))
+        with pytest.raises(ValueError, match="cannot list"):
+            _nearest_neighbors(positions, n, include_self)
 
     @pytest.mark.parametrize("layout", ["uniform", "lattice", "strip"])
     def test_whole_field_as_neighborhood(self, layout):
