@@ -22,6 +22,7 @@ from .decision_rules import LikelihoodThresholds, gammas_from_lambdas
 from .fusion import FaultModel, FusionParams
 from .optimize import OptimizationResult, minimize_error
 from .signal_model import CODES, Priors, SignalModel
+from . import simulator
 from .simulator import (
     FaultSpec,
     FieldConfig,
@@ -279,13 +280,16 @@ _Searches = dict[tuple, tuple[LikelihoodThresholds, OptimizationResult | None]]
 
 
 def _prepare_cell(config: ExperimentConfig, searches: _Searches) -> tuple[
-    LikelihoodThresholds, OptimizationResult | None, Callable[[np.random.Generator], RunResult]
+    LikelihoodThresholds,
+    OptimizationResult | None,
+    Callable[[list[np.random.Generator]], RunResult],
 ]:
     """Thresholds for ``config``, the search behind them, and its realization runner.
 
     ``searches`` maps (objective, override) to the first two, filled on
-    first use. The runner generates one field per generator and runs
-    detection on it with that generator.
+    first use. The runner takes one generator per realization, generates
+    their fields as one stacked field and runs detection on it, each
+    realization with its own generator.
     """
     key = (config.objective(), config.threshold_override())
     if key not in searches:
@@ -298,8 +302,8 @@ def _prepare_cell(config: ExperimentConfig, searches: _Searches) -> tuple[
     spec = config.fault_spec()
     field_config = config.field_config()
 
-    def realize(rng: np.random.Generator) -> RunResult:
-        return run_detection(generate_field(field_config, rng), model, gammas, spec, rng)
+    def realize(rngs: list[np.random.Generator]) -> RunResult:
+        return run_detection(generate_field(field_config, rngs), model, gammas, spec, rngs)
 
     return thresholds, optimization, realize
 
@@ -371,7 +375,7 @@ def run_single(config: ExperimentConfig, output_dir: str | Path | None = None) -
     out = make_output_dir(Path(output_dir if output_dir is not None else config.output_dir))
 
     thresholds, optimization, realize = _prepare_cell(config, {})
-    result = realize(np.random.default_rng(config.seed))
+    result = realize([np.random.default_rng(config.seed)])
     spec = config.fault_spec()
 
     no_fault_flags = np.zeros(config.sensor_count, dtype=bool)
@@ -400,10 +404,10 @@ def run_single(config: ExperimentConfig, output_dir: str | Path | None = None) -
         "p_f": 0.0 if spec is None else spec.model.total_probability,
         "fault_mode": "" if spec is None else spec.mode,
         "fault_count": result.fault_count,
-        "local_error_percent": 100.0 * result.clean_local_error_rate,
-        "final_error_percent": 100.0 * result.clean_final_error_rate,
-        "local_error_faulty_percent": 100.0 * result.local_error_rate,
-        "final_error_faulty_percent": 100.0 * result.final_error_rate,
+        "local_error_percent": 100.0 * result.clean_local_error_rate.item(),
+        "final_error_percent": 100.0 * result.clean_final_error_rate.item(),
+        "local_error_faulty_percent": 100.0 * result.local_error_rate.item(),
+        "final_error_faulty_percent": 100.0 * result.final_error_rate.item(),
     }
     summary_path = out / "summary.csv"
     _write_csv(summary_path, "key,value", [[k, v] for k, v in summary.items()])
@@ -473,11 +477,14 @@ def _apply_sweep_value(
     return replace(base, **values), label
 
 
-def _cell_rng(base_seed: int, run_index: int, param: str, label: str) -> np.random.Generator:
+def _cell_key(param: str, label: str) -> int:
     # Decorrelates cells while keeping rows reproducible and independent
     # of their position in the value list.
     digest = hashlib.sha256(f"{param}={label}".encode()).digest()
-    cell_key = int.from_bytes(digest[:8], "little")
+    return int.from_bytes(digest[:8], "little")
+
+
+def _cell_rng(base_seed: int, run_index: int, cell_key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((base_seed + run_index, cell_key)))
 
 
@@ -488,9 +495,10 @@ def run_sweep(base: ExperimentConfig, param: str, values: list[str]) -> SweepSum
     fault-adjusted one when faults are configured), searched once per
     distinct objective: cells that differ only in, say, sensor count
     share one search. Each cell then runs ``repetitions`` independent
-    field realizations. Error columns are percentages: local/final
-    decision errors before (ld_bf, fd_bf) and after (ld_af, fd_af)
-    fault injection.
+    field realizations, stacked in batches of about
+    ``simulator._BATCH_SENSORS`` sensors that each run as one field.
+    Error columns are percentages: local/final decision errors before
+    (ld_bf, fd_bf) and after (ld_af, fd_af) fault injection.
     """
     if not values:
         raise ConfigError("sweep needs at least one value")
@@ -499,15 +507,22 @@ def run_sweep(base: ExperimentConfig, param: str, values: list[str]) -> SweepSum
     for raw in values:
         cell, label = _apply_sweep_value(base, param, raw)
         thresholds, optimization, realize = _prepare_cell(cell, searches)
+        key = _cell_key(param, label)
+        batch = max(1, simulator._BATCH_SENSORS // cell.sensor_count)
         sums = np.zeros(4)
-        for r in range(cell.repetitions):
-            result = realize(_cell_rng(cell.seed, r, param, label))
-            sums += (
-                result.clean_local_error_rate,
-                result.clean_final_error_rate,
-                result.local_error_rate,
-                result.final_error_rate,
-            )
+        for start in range(0, cell.repetitions, batch):
+            stop = min(start + batch, cell.repetitions)
+            result = realize([_cell_rng(cell.seed, r, key) for r in range(start, stop)])
+            # Added one repetition at a time, in order, so batching
+            # leaves every float sum unchanged.
+            for rates in zip(
+                result.clean_local_error_rate.tolist(),
+                result.clean_final_error_rate.tolist(),
+                result.local_error_rate.tolist(),
+                result.final_error_rate.tolist(),
+            ):
+                sums += rates
+            del result  # freed before the next batch is built
         averages = 100.0 * sums / cell.repetitions
         rows.append(SweepRow(
             label, *averages.tolist(), thresholds.lambda1, thresholds.lambda2,

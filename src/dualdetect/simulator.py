@@ -5,6 +5,10 @@ disjoint event regions. Each sensor's ground truth is fixed by which
 region (if any) contains it, each observation is the truth's mean plus
 unit Gaussian noise, and each node fuses the reported decisions of its
 n nearest sensors (itself included by default) with a k-vote quorum.
+Several realizations of one field config can run as one stacked field,
+one generator each: neighbour search, classification and fusion then
+run once for the whole stack, and each realization draws exactly the
+numbers it would draw alone.
 
 Faults corrupt reported decisions between the local and fusion stages.
 Two realizations are available:
@@ -30,6 +34,7 @@ labels a given seed produces.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -120,12 +125,17 @@ class FieldConfig:
 
 @dataclass(frozen=True)
 class SensorField:
-    """Realized sensor layout: positions, ground truth, neighbor lists."""
+    """Realized sensor layout: positions, ground truth, neighbor lists.
+
+    A field may stack R realizations of ``config``: realization r holds
+    rows r*N ... r*N+N-1 of each array, N being ``config.sensor_count``,
+    and its neighbor lists index only those rows.
+    """
 
     config: FieldConfig
-    positions: np.ndarray    # (N, 2) float64
-    truth: np.ndarray        # (N,) int8 decision codes
-    neighbors: np.ndarray    # (N, n) int64, nearest first
+    positions: np.ndarray    # (R*N, 2) float64
+    truth: np.ndarray        # (R*N,) int8 decision codes
+    neighbors: np.ndarray    # (R*N, n) int64, nearest first
 
 
 @dataclass(frozen=True)
@@ -145,12 +155,14 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class RunResult:
-    """One simulated detection round.
+    """One simulated detection round over each realization of a field.
 
     The headline rates describe the reported (post-fault) decisions and
     the fusion of those reports; the clean_* rates describe the same
     realization before fault injection. Without faults the two pairs
-    coincide.
+    coincide. The decision arrays follow the field's stacked rows; each
+    rate holds one value per realization, or is a scalar when the round
+    ran on a lone generator. ``fault_count`` is the total over the stack.
     """
 
     field: SensorField
@@ -160,10 +172,10 @@ class RunResult:
     faulty: np.ndarray         # bool flags
     final: np.ndarray          # fusion of reported decisions
     clean_final: np.ndarray    # fusion of pre-fault decisions
-    local_error_rate: float
-    final_error_rate: float
-    clean_local_error_rate: float
-    clean_final_error_rate: float
+    local_error_rate: float | np.ndarray
+    final_error_rate: float | np.ndarray
+    clean_local_error_rate: float | np.ndarray
+    clean_final_error_rate: float | np.ndarray
 
     @property
     def fault_count(self) -> int:
@@ -173,23 +185,34 @@ class RunResult:
 # Padded candidates (rows x width) one selection step holds: each of its
 # float64 and int64 arrays then takes 256 KiB, which fits a core's L2 cache.
 _CHUNK_CANDIDATES = 2**15
+# Sensors one batch of realizations stacks (harness.run_sweep): enough to
+# share a search's fixed cost over many small fields, while a batch's
+# arrays stay a few MiB.
+_BATCH_SENSORS = 2**13
 
 
-def _nearest_neighbors(positions: np.ndarray, n: int, include_self: bool) -> np.ndarray:
+def _nearest_neighbors(
+    positions: np.ndarray, n: int, include_self: bool, realizations: int = 1
+) -> np.ndarray:
     """Indices of each sensor's n nearest sensors, nearest first.
 
+    ``positions`` stacks ``realizations`` fields of equal size: field r
+    holds rows r*N ... r*N+N-1, and its neighbour lists stay within
+    those rows. A single field is the case of one realization.
     Sensors are ordered by squared Euclidean distance ``dx*dx + dy*dy``
     in float64, ties going to the lower index, so a coincident sensor
     with a lower index sorts ahead of the sensor itself. With
     ``include_self`` false the sensor itself is never listed.
 
     The search is a cell list (Allen & Tildesley, *Computer Simulation
-    of Liquids*). Square cells of side h hold about n/2 sensors each on
-    average, and a sensor's candidates are the sensors in the
-    (2r+1)x(2r+1) block of cells around its own, starting at r = 1.
-    Cell ids run along y within each column of the grid, so once the
-    sensors are sorted by cell id, the block's cells in one column hold
-    one contiguous run of them and a cell's candidates are 2r+1 runs,
+    of Liquids*). Square cells of side h hold about n/2 sensors of one
+    field each on average, and a sensor's candidates are the sensors in
+    the (2r+1)x(2r+1) block of cells around its own, starting at r = 1.
+    Every field shares one grid over the stack's bounding box, and a
+    cell id is ``(field * columns + column) * rows + row``: ids run
+    along y within each column of a field's grid, so once the sensors
+    are sorted by cell id, the block's cells in one column hold one
+    contiguous run of them and a cell's candidates are 2r+1 runs,
     built once and shared by every row in that cell.
     Every sensor outside the block lies at least r*h away, so a row
     whose n-th candidate is nearer than that is exact, whatever h is;
@@ -212,24 +235,29 @@ def _nearest_neighbors(positions: np.ndarray, n: int, include_self: bool) -> np.
     O(r) integers per pending row and the result O(N*n).
     """
     count = positions.shape[0]
+    size, rest = divmod(count, realizations)
+    if rest:
+        raise ValueError(f"cannot split {count} sensors into {realizations} equal fields")
     # Past the last ring a row short of n candidates would wait forever.
-    if not 1 <= n <= count - (not include_self):
-        raise ValueError(f"cannot list {n} neighbours among {count} sensors")
+    if not 1 <= n <= size - (not include_self):
+        raise ValueError(f"cannot list {n} neighbours among {size} sensors")
     lo = positions.min(axis=0)
     span = positions.max(axis=0) - lo
     # The second term caps the cells along a thin strip, so there are at
-    # most 4.1 * count / n + 1 cells; sensors all at one point share one.
-    h = max(0.7 * math.sqrt(span[0] * span[1] * n / count),
-            span.max() * n / count) or 1.0
+    # most 4.1 * size / n + 1 cells per field; sensors all at one point
+    # share one.
+    h = max(0.7 * math.sqrt(span[0] * span[1] * n / size),
+            span.max() * n / size) or 1.0
     shape = (span // h).astype(np.int64) + 1
     cell_xy = np.minimum(((positions - lo) // h).astype(np.int64), shape - 1)
-    cell = cell_xy[:, 0] * shape[1] + cell_xy[:, 1]
+    field_column = np.repeat(np.arange(realizations) * shape[0], size) + cell_xy[:, 0]
+    cell = field_column * shape[1] + cell_xy[:, 1]
     by_cell = np.argsort(cell, kind="stable")
     slot_cell = cell[by_cell]
-    bounds = np.searchsorted(slot_cell, np.arange(shape[0] * shape[1] + 1))
+    bounds = np.searchsorted(slot_cell, np.arange(realizations * shape[0] * shape[1] + 1))
     # Rounding in the floor division can put a sensor past its cell's edge
-    # by a few ulps of the span, and the span is at most count / n cells.
-    slack = 1.0 - 1e-14 * (count + 1)
+    # by a few ulps of the span, and the span is at most size / n cells.
+    slack = 1.0 - 1e-14 * (size + 1)
     # Rows and candidates are slots in by_cell order; slot `count` pads
     # candidate lists and its distance is always inf.
     xs = np.append(positions[by_cell, 0], np.inf)
@@ -245,9 +273,11 @@ def _nearest_neighbors(positions: np.ndarray, n: int, include_self: bool) -> np.
         cells = slot_cell[rows]
         edges = np.flatnonzero(np.concatenate(([True], cells[1:] != cells[:-1], [True])))
         head, sizes = edges[:-1], edges[1:] - edges[:-1]
-        cx, cy = np.divmod(cells[head], shape[1])
-        columns = cx[:, None] + np.arange(-r, r + 1)
-        inside = (columns >= 0) & (columns < shape[0])
+        field_column, cy = np.divmod(cells[head], shape[1])
+        ring = np.arange(-r, r + 1)
+        in_field = (field_column % shape[0])[:, None] + ring
+        inside = (in_field >= 0) & (in_field < shape[0])
+        columns = field_column[:, None] + ring
         first = columns * shape[1] + np.maximum(cy - r, 0)[:, None]
         stop = columns * shape[1] + np.minimum(cy + r + 1, shape[1])[:, None]
         starts = bounds[np.where(inside, first, 0)]
@@ -325,19 +355,34 @@ def _settle_chunk(
     return chunk[~done]
 
 
-def generate_field(config: FieldConfig, rng: np.random.Generator) -> SensorField:
-    """Scatter sensors uniformly and fix truths and neighbor lists."""
-    positions = rng.uniform(
-        low=(0.0, 0.0),
-        high=(config.width, config.height),
-        size=(config.sensor_count, 2),
-    )
+def _generators(
+    rng: np.random.Generator | Sequence[np.random.Generator],
+) -> list[np.random.Generator]:
+    """One generator per realization; a lone generator is a batch of one."""
+    return [rng] if isinstance(rng, np.random.Generator) else list(rng)
+
+
+def generate_field(
+    config: FieldConfig, rng: np.random.Generator | Sequence[np.random.Generator]
+) -> SensorField:
+    """Scatter sensors uniformly and fix truths and neighbor lists.
+
+    With a sequence of generators each one draws one realization's
+    positions, stacked in generator order into one field; a lone
+    generator is a batch of one.
+    """
+    rngs = _generators(rng)
+    positions = np.concatenate([
+        g.uniform(low=(0.0, 0.0), high=(config.width, config.height),
+                  size=(config.sensor_count, 2))
+        for g in rngs
+    ])
     x, y = positions[:, 0], positions[:, 1]
-    truth = np.zeros(config.sensor_count, dtype=np.int8)
+    truth = np.zeros(positions.shape[0], dtype=np.int8)
     truth[config.event1_region.contains(x, y)] = Hypothesis.EVENT1.code
     truth[config.event2_region.contains(x, y)] = Hypothesis.EVENT2.code
     neighbors = _nearest_neighbors(
-        positions, config.neighborhood_size, config.include_self
+        positions, config.neighborhood_size, config.include_self, len(rngs)
     )
     return SensorField(config=config, positions=positions, truth=truth,
                        neighbors=neighbors)
@@ -355,31 +400,34 @@ def _row_arcs(model: FaultModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _inject_forced_change(
-    local: np.ndarray, spec: FaultSpec, rng: np.random.Generator
+    local: np.ndarray, spec: FaultSpec, rngs: list[np.random.Generator]
 ) -> tuple[np.ndarray, np.ndarray]:
-    count = local.shape[0]
+    size = local.shape[0] // len(rngs)
     # The floor of the decimal product: the double nearest 0.29 lies
     # below it, so 0.29 * 100 would floor to 28 in floating point.
-    n_faulty = math.floor(Fraction(repr(float(spec.model.total_probability))) * count)
-    faulty = np.zeros(count, dtype=bool)
-    reported = local.copy()
-    chosen = rng.choice(count, size=n_faulty, replace=False)
+    n_faulty = math.floor(Fraction(repr(float(spec.model.total_probability))) * size)
+    # Each realization's generator picks its faulty sensors, then draws
+    # their transitions.
+    draws = [(g.choice(size, size=n_faulty, replace=False), g.random(n_faulty)) for g in rngs]
+    chosen = np.concatenate([picked + i * size for i, (picked, _) in enumerate(draws)])
+    u = np.concatenate([u for _, u in draws])
+    faulty = np.zeros(local.shape[0], dtype=bool)
     faulty[chosen] = True
 
-    u = rng.random(n_faulty)
+    reported = local.copy()
     columns, weights = _row_arcs(spec.model, local[chosen] % 3)
     total = weights[:, 0] + weights[:, 1]
     p_first = np.divide(
-        weights[:, 0], total, out=np.full(n_faulty, 0.5), where=total > 0.0
+        weights[:, 0], total, out=np.full(chosen.size, 0.5), where=total > 0.0
     )
     reported[chosen] = CODES[np.where(u < p_first, columns[:, 0], columns[:, 1])]
     return reported, faulty
 
 
 def _inject_alpha_table(
-    local: np.ndarray, spec: FaultSpec, rng: np.random.Generator
+    local: np.ndarray, spec: FaultSpec, rngs: list[np.random.Generator]
 ) -> tuple[np.ndarray, np.ndarray]:
-    u = rng.random(local.shape[0])
+    u = np.concatenate([g.random(local.shape[0] // len(rngs)) for g in rngs])
     rows = local % 3
     columns, weights = _row_arcs(spec.model, rows)
     to_first = u < weights[:, 0]
@@ -395,32 +443,46 @@ def run_detection(
     model: SignalModel,
     gammas: ObservationThresholds,
     faults: FaultSpec | None,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> RunResult:
-    """Simulate one observation round over a realized field.
+    """Simulate one observation round over each realization of a field.
 
-    Fusion takes n from the field's neighbor lists and k from its
-    config's quorum. The RNG is consumed in a fixed order (observations,
-    then fault selection, then fault transitions) so a given seed
-    reproduces the run bit for bit.
+    ``rng`` is the generators the field was generated with, or the lone
+    generator of a single field. Each generator is consumed in a fixed
+    order (observations, then fault selection, then fault transitions),
+    so a given seed reproduces its realization bit for bit, whatever
+    batch it runs in. Classification and both fusions run once over the
+    stack. Fusion takes n from the field's neighbor lists and k from its
+    config's quorum.
     """
+    rngs = _generators(rng)
+    size = field.config.sensor_count
+    if len(rngs) * size != field.truth.shape[0]:
+        raise ValueError(
+            f"{len(rngs)} generators for a field of {field.truth.shape[0]} sensors")
     k = field.config.quorum
     means = model.means_for_codes(field.truth)
-    observations = means + rng.standard_normal(field.config.sensor_count)
+    observations = means + np.concatenate([g.standard_normal(size) for g in rngs])
     local = classify_observations(observations, gammas)
 
     if faults is None:
         reported = local
         faulty = np.zeros(local.shape, dtype=bool)
     elif faults.mode == "forced-change":
-        reported, faulty = _inject_forced_change(local, faults, rng)
+        reported, faulty = _inject_forced_change(local, faults, rngs)
     else:
-        reported, faulty = _inject_alpha_table(local, faults, rng)
+        reported, faulty = _inject_alpha_table(local, faults, rngs)
 
     final = fuse_decisions(reported, field.neighbors, k)
     clean_final = final if faults is None else fuse_decisions(local, field.neighbors, k)
 
+    # One rate per realization; a lone generator's are scalars.
+    per_field = (size,) if isinstance(rng, np.random.Generator) else (len(rngs), size)
     truth = field.truth
+
+    def error_rate(decisions: np.ndarray) -> float | np.ndarray:
+        return (decisions != truth).reshape(per_field).mean(axis=-1)
+
     return RunResult(
         field=field,
         observations=observations,
@@ -429,8 +491,8 @@ def run_detection(
         faulty=faulty,
         final=final,
         clean_final=clean_final,
-        local_error_rate=float((reported != truth).mean()),
-        final_error_rate=float((final != truth).mean()),
-        clean_local_error_rate=float((local != truth).mean()),
-        clean_final_error_rate=float((clean_final != truth).mean()),
+        local_error_rate=error_rate(reported),
+        final_error_rate=error_rate(final),
+        clean_local_error_rate=error_rate(local),
+        clean_final_error_rate=error_rate(clean_final),
     )

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from dualdetect import (
     parse_config_text,
     run_single,
     run_sweep,
+    simulator,
 )
 from dualdetect.cli import _build_parser, _load, main
 from dualdetect.harness import SCATTER_CSV_HEADER, SWEEP_CSV_HEADER
@@ -460,7 +462,8 @@ class TestRunSweep:
                    for row in summary.rows)
 
     @pytest.mark.parametrize("run, expected", [
-        (lambda config: run_sweep(config, "sensor_count", ["40", "50", "60"]), (6, 6, 3)),
+        # Each cell's two repetitions make one batch.
+        (lambda config: run_sweep(config, "sensor_count", ["40", "50", "60"]), (3, 3, 3)),
         (run_single, (1, 1, 1)),
     ], ids=["sweep", "single"])
     def test_run_path_calls_module_bindings(self, tmp_path, monkeypatch, run, expected):
@@ -479,6 +482,38 @@ class TestRunSweep:
             monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
         run(small_config(repetitions=2, output_dir=str(tmp_path)))
         assert tuple(calls.values()) == expected
+
+    @pytest.mark.parametrize("fault_mode", ["forced-change", "alpha-table"])
+    def test_batch_boundaries_leave_rows_unchanged(self, monkeypatch, fault_mode):
+        # Five 40-sensor repetitions per cell run as 5 x 1, 2 + 2 + 1 and
+        # 1 x 5 realizations; no row may depend on where batches split.
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[-1]))
+            return simulator.run_detection(*args)
+
+        monkeypatch.setattr(harness, "run_detection", counted)
+        base = small_config(repetitions=5, sensor_count=40, fault_mode=fault_mode)
+        sweeps = {}
+        for per_batch, sizes in ((1, [1] * 5), (2, [2, 2, 1]), (5, [5])):
+            monkeypatch.setattr(simulator, "_BATCH_SENSORS", per_batch * 40)
+            calls.clear()
+            sweeps[per_batch] = run_sweep(base, "p_f", ["0.0", "0.24"])
+            assert calls == sizes * 2
+        assert sweeps[1] == sweeps[2] == sweeps[5]
+
+    def test_batched_cell_memory_is_bounded(self):
+        # 50 realizations of 1,000 sensors run eight at a time; stacked
+        # all at once they would peak near 12 MiB.
+        config = small_config(sensor_count=1000, repetitions=50, p_f=0.12)
+        tracemalloc.start()
+        try:
+            run_sweep(config, "sensor_count", ["1000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_unknown_param_rejected(self):
         with pytest.raises(ConfigError, match="sweep parameter"):

@@ -251,6 +251,33 @@ class TestNearestNeighbors:
                 err_msg=f"n={n}",
             )
 
+    @pytest.mark.parametrize("budget", [None, 40], ids=["default-chunks", "small-chunks"])
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_stacked_fields_match_oracle(self, monkeypatch, include_self, budget):
+        # Five realizations of different layouts share one grid over the
+        # stack's bounding box; each must get its own field's neighbours,
+        # offset by its first row. A budget of 40 candidates cuts rounds
+        # into chunks that hold rows of several realizations.
+        if budget is not None:
+            monkeypatch.setattr(simulator, "_CHUNK_CANDIDATES", budget)
+        rng = np.random.default_rng(23)
+        count = 60
+        blocks = [np.full((count, 2), 3.0) if layout == "point" else _layout(layout, count, rng)
+                  for layout in ("uniform", "lattice", "strip", "cluster", "point")]
+        for n in (1, 2, 5, 8):
+            expected = np.vstack([_oracle_neighbors(block, n, include_self) + r * count
+                                  for r, block in enumerate(blocks)])
+            np.testing.assert_array_equal(
+                _nearest_neighbors(np.vstack(blocks), n, include_self, len(blocks)),
+                expected,
+                err_msg=f"n={n}",
+            )
+
+    def test_unequal_stack_raises(self):
+        positions = np.random.default_rng(9).uniform(0.0, 1.0, size=(7, 2))
+        with pytest.raises(ValueError, match="equal fields"):
+            _nearest_neighbors(positions, 2, True, realizations=2)
+
     def test_lattice_ties_keep_lowest_indices(self):
         # Many sensors share each lattice point: every tie must go to
         # the lower index, not to whichever tied candidates a partial
@@ -391,7 +418,7 @@ class TestRunDetection:
     def test_forced_change_count_is_decimal_floor(self, p_f, count, expected):
         spec = FaultSpec(FaultModel.uniform_split(p_f), "forced-change")
         local = np.zeros(count, dtype=np.int8)
-        _, faulty = _inject_forced_change(local, spec, np.random.default_rng(0))
+        _, faulty = _inject_forced_change(local, spec, [np.random.default_rng(0)])
         assert int(faulty.sum()) == expected
 
     def test_forced_change_flips_every_selected_sensor(self):
@@ -422,6 +449,34 @@ class TestRunDetection:
             local_rates.append(result.local_error_rate)
             final_rates.append(result.final_error_rate)
         assert np.mean(final_rates) < np.mean(local_rates)
+
+    @pytest.mark.parametrize("mode", [None, "forced-change", "alpha-table"])
+    def test_batch_matches_realizations_run_alone(self, mode):
+        # Each generator drives its own realization in the same order as
+        # when it runs alone, so a batch is the realizations stacked.
+        faults = None if mode is None else FaultSpec(FaultModel.uniform_split(0.24), mode)
+        config = default_config(sensor_count=90)
+        seeds = (3, 4, 5)
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        batch = run_detection(generate_field(config, rngs), self.model, self.gammas, faults, rngs)
+        alone = [self._run(config, faults, seed) for seed in seeds]
+        for r, single in enumerate(alone):
+            rows = slice(r * 90, (r + 1) * 90)
+            np.testing.assert_array_equal(batch.field.positions[rows], single.field.positions)
+            np.testing.assert_array_equal(batch.field.neighbors[rows],
+                                          single.field.neighbors + r * 90)
+            for name in ("observations", "local", "reported", "faulty", "final", "clean_final"):
+                np.testing.assert_array_equal(getattr(batch, name)[rows], getattr(single, name))
+            for name in ("local_error_rate", "final_error_rate",
+                         "clean_local_error_rate", "clean_final_error_rate"):
+                assert getattr(batch, name)[r] == getattr(single, name)
+        assert batch.fault_count == sum(single.fault_count for single in alone)
+
+    def test_generators_must_match_field(self):
+        rngs = [np.random.default_rng(seed) for seed in (1, 2)]
+        field = generate_field(default_config(), rngs)
+        with pytest.raises(ValueError, match="generators"):
+            run_detection(field, self.model, self.gammas, None, rngs[:1])
 
     def test_deterministic(self):
         a = self._run(seed=123)
