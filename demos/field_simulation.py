@@ -51,17 +51,17 @@ def main():
     lambdas = LikelihoodThresholds(lambda1=0.9829, lambda2=1.8496)
     gammas = gammas_from_lambdas(model, lambdas)
 
-    rng = np.random.default_rng(11)
-    field = generate_field(config, rng)
-    result = run_detection(field, model, gammas, None, rng)
+    rngs = [np.random.default_rng(11)]
+    field = generate_field(config, rngs)
+    result = run_detection(field, model, gammas, None, rngs)
 
     print("ground truth ('.' normal, '1' event 1, '2' event 2):")
     print(render(field.positions, field.truth, config.width, config.height))
     print()
-    print("local decisions, error rate %.1f%%:" % (100 * result.local_error_rate))
+    print("local decisions, error rate %.1f%%:" % (100 * result.local_error_rate[0]))
     print(render(field.positions, result.local, config.width, config.height))
     print()
-    print("fused decisions, error rate %.1f%%:" % (100 * result.final_error_rate))
+    print("fused decisions, error rate %.1f%%:" % (100 * result.final_error_rate[0]))
     print(render(field.positions, result.final, config.width, config.height))
     print()
 

@@ -22,7 +22,6 @@ from .decision_rules import LikelihoodThresholds, gammas_from_lambdas
 from .fusion import FaultModel, FusionParams
 from .optimize import OptimizationResult, minimize_error
 from .signal_model import CODES, Priors, SignalModel
-from . import simulator
 from .simulator import (
     FaultSpec,
     FieldConfig,
@@ -60,6 +59,10 @@ _SWEEP_KEYS = {
 SWEEP_PARAMS = tuple(_SWEEP_KEYS)
 SCATTER_CSV_HEADER = "x,y,truth,decision,faulty"
 SWEEP_CSV_HEADER = "param,ld_bf,fd_bf,ld_af,fd_af,lambda1,lambda2"
+# Sensors one batch of a sweep cell's realizations stacks: enough to share
+# a neighbour search's fixed cost over many small fields, while a batch's
+# arrays stay a few MiB.
+_BATCH_SENSORS = 2**13
 
 
 class ConfigError(ValueError):
@@ -496,19 +499,20 @@ def run_sweep(base: ExperimentConfig, param: str, values: list[str]) -> SweepSum
     distinct objective: cells that differ only in, say, sensor count
     share one search. Each cell then runs ``repetitions`` independent
     field realizations, stacked in batches of about
-    ``simulator._BATCH_SENSORS`` sensors that each run as one field.
+    ``_BATCH_SENSORS`` sensors that each run as one field.
     Error columns are percentages: local/final decision errors before
     (ld_bf, fd_bf) and after (ld_af, fd_af) fault injection.
     """
     if not values:
         raise ConfigError("sweep needs at least one value")
+    # Every value is checked before the first repetition runs.
+    cells = [_apply_sweep_value(base, param, raw) for raw in values]
     rows = []
     searches: _Searches = {}
-    for raw in values:
-        cell, label = _apply_sweep_value(base, param, raw)
+    for cell, label in cells:
         thresholds, optimization, realize = _prepare_cell(cell, searches)
         key = _cell_key(param, label)
-        batch = max(1, simulator._BATCH_SENSORS // cell.sensor_count)
+        batch = max(1, _BATCH_SENSORS // cell.sensor_count)
         sums = np.zeros(4)
         for start in range(0, cell.repetitions, batch):
             stop = min(start + batch, cell.repetitions)

@@ -5,10 +5,12 @@ disjoint event regions. Each sensor's ground truth is fixed by which
 region (if any) contains it, each observation is the truth's mean plus
 unit Gaussian noise, and each node fuses the reported decisions of its
 n nearest sensors (itself included by default) with a k-vote quorum.
-Several realizations of one field config can run as one stacked field,
-one generator each: neighbour search, classification and fusion then
-run once for the whole stack, and each realization draws exactly the
-numbers it would draw alone.
+Every run takes a list of generators, one per realization of one field
+config, and stacks the realizations into one field: neighbour search,
+classification and fusion run once for the whole stack, each
+realization draws exactly the numbers it would draw alone, and each
+error rate holds one value per realization. A single field is a list
+of one generator.
 
 Faults corrupt reported decisions between the local and fusion stages.
 Two realizations are available:
@@ -161,21 +163,20 @@ class RunResult:
     the fusion of those reports; the clean_* rates describe the same
     realization before fault injection. Without faults the two pairs
     coincide. The decision arrays follow the field's stacked rows; each
-    rate holds one value per realization, or is a scalar when the round
-    ran on a lone generator. ``fault_count`` is the total over the stack.
+    rate is an array of one value per realization. ``fault_count`` is the
+    total over the stack.
     """
 
     field: SensorField
-    observations: np.ndarray
     local: np.ndarray          # pre-fault decisions, int8 codes
     reported: np.ndarray       # post-fault decisions, int8 codes
     faulty: np.ndarray         # bool flags
     final: np.ndarray          # fusion of reported decisions
     clean_final: np.ndarray    # fusion of pre-fault decisions
-    local_error_rate: float | np.ndarray
-    final_error_rate: float | np.ndarray
-    clean_local_error_rate: float | np.ndarray
-    clean_final_error_rate: float | np.ndarray
+    local_error_rate: np.ndarray       # (R,) float64, one per realization
+    final_error_rate: np.ndarray
+    clean_local_error_rate: np.ndarray
+    clean_final_error_rate: np.ndarray
 
     @property
     def fault_count(self) -> int:
@@ -185,10 +186,6 @@ class RunResult:
 # Padded candidates (rows x width) one selection step holds: each of its
 # float64 and int64 arrays then takes 256 KiB, which fits a core's L2 cache.
 _CHUNK_CANDIDATES = 2**15
-# Sensors one batch of realizations stacks (harness.run_sweep): enough to
-# share a search's fixed cost over many small fields, while a batch's
-# arrays stay a few MiB.
-_BATCH_SENSORS = 2**13
 
 
 def _nearest_neighbors(
@@ -263,6 +260,7 @@ def _nearest_neighbors(
     xs = np.append(positions[by_cell, 0], np.inf)
     ys = np.append(positions[by_cell, 1], np.inf)
     ids = np.append(by_cell, count)
+    del cell_xy, field_column, cell, by_cell  # not read again; freed for the rounds
 
     neighbors = np.empty((count, n), dtype=np.int64)
     rows = np.arange(count)
@@ -283,6 +281,7 @@ def _nearest_neighbors(
         starts = bounds[np.where(inside, first, 0)]
         lengths = bounds[np.where(inside, stop, 0)] - starts
         widths = lengths.sum(axis=1)
+        del in_field, inside, columns, first, stop
         order = np.argsort(widths)
         starts, lengths, widths = starts[order], lengths[order], widths[order]
         head, sizes = head[order], sizes[order]
@@ -355,23 +354,12 @@ def _settle_chunk(
     return chunk[~done]
 
 
-def _generators(
-    rng: np.random.Generator | Sequence[np.random.Generator],
-) -> list[np.random.Generator]:
-    """One generator per realization; a lone generator is a batch of one."""
-    return [rng] if isinstance(rng, np.random.Generator) else list(rng)
-
-
-def generate_field(
-    config: FieldConfig, rng: np.random.Generator | Sequence[np.random.Generator]
-) -> SensorField:
+def generate_field(config: FieldConfig, rngs: Sequence[np.random.Generator]) -> SensorField:
     """Scatter sensors uniformly and fix truths and neighbor lists.
 
-    With a sequence of generators each one draws one realization's
-    positions, stacked in generator order into one field; a lone
-    generator is a batch of one.
+    Each generator draws one realization's positions, stacked in
+    generator order into one field.
     """
-    rngs = _generators(rng)
     positions = np.concatenate([
         g.uniform(low=(0.0, 0.0), high=(config.width, config.height),
                   size=(config.sensor_count, 2))
@@ -400,7 +388,7 @@ def _row_arcs(model: FaultModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _inject_forced_change(
-    local: np.ndarray, spec: FaultSpec, rngs: list[np.random.Generator]
+    local: np.ndarray, spec: FaultSpec, rngs: Sequence[np.random.Generator]
 ) -> tuple[np.ndarray, np.ndarray]:
     size = local.shape[0] // len(rngs)
     # The floor of the decimal product: the double nearest 0.29 lies
@@ -425,7 +413,7 @@ def _inject_forced_change(
 
 
 def _inject_alpha_table(
-    local: np.ndarray, spec: FaultSpec, rngs: list[np.random.Generator]
+    local: np.ndarray, spec: FaultSpec, rngs: Sequence[np.random.Generator]
 ) -> tuple[np.ndarray, np.ndarray]:
     u = np.concatenate([g.random(local.shape[0] // len(rngs)) for g in rngs])
     rows = local % 3
@@ -443,19 +431,18 @@ def run_detection(
     model: SignalModel,
     gammas: ObservationThresholds,
     faults: FaultSpec | None,
-    rng: np.random.Generator | Sequence[np.random.Generator],
+    rngs: Sequence[np.random.Generator],
 ) -> RunResult:
     """Simulate one observation round over each realization of a field.
 
-    ``rng`` is the generators the field was generated with, or the lone
-    generator of a single field. Each generator is consumed in a fixed
-    order (observations, then fault selection, then fault transitions),
-    so a given seed reproduces its realization bit for bit, whatever
-    batch it runs in. Classification and both fusions run once over the
+    ``rngs`` is the generators the field was generated with, one per
+    realization. Each generator is consumed in a fixed order
+    (observations, then fault selection, then fault transitions), so a
+    given seed reproduces its realization bit for bit, whatever batch it
+    runs in. Classification and both fusions run once over the
     stack. Fusion takes n from the field's neighbor lists and k from its
     config's quorum.
     """
-    rngs = _generators(rng)
     size = field.config.sensor_count
     if len(rngs) * size != field.truth.shape[0]:
         raise ValueError(
@@ -476,16 +463,11 @@ def run_detection(
     final = fuse_decisions(reported, field.neighbors, k)
     clean_final = final if faults is None else fuse_decisions(local, field.neighbors, k)
 
-    # One rate per realization; a lone generator's are scalars.
-    per_field = (size,) if isinstance(rng, np.random.Generator) else (len(rngs), size)
-    truth = field.truth
-
-    def error_rate(decisions: np.ndarray) -> float | np.ndarray:
-        return (decisions != truth).reshape(per_field).mean(axis=-1)
+    def error_rate(decisions: np.ndarray) -> np.ndarray:
+        return (decisions != field.truth).reshape(len(rngs), size).mean(axis=1)
 
     return RunResult(
         field=field,
-        observations=observations,
         local=local,
         reported=reported,
         faulty=faulty,

@@ -365,7 +365,7 @@ class TestRunSingle:
         decisions = np.array([0, 0, 1, 1, -1, -1], dtype=np.int8)
         flags = np.array([False, True] * 3)
         base = generate_field(small_config(sensor_count=6).field_config(),
-                              np.random.default_rng(0))
+                              [np.random.default_rng(0)])
         field = replace(base, positions=positions, truth=truth)
         files = [("one.csv", decisions, flags), ("two.csv", decisions[::-1], ~flags)]
         paths = harness._write_scatter(tmp_path, field, files)
@@ -497,7 +497,7 @@ class TestRunSweep:
         base = small_config(repetitions=5, sensor_count=40, fault_mode=fault_mode)
         sweeps = {}
         for per_batch, sizes in ((1, [1] * 5), (2, [2, 2, 1]), (5, [5])):
-            monkeypatch.setattr(simulator, "_BATCH_SENSORS", per_batch * 40)
+            monkeypatch.setattr(harness, "_BATCH_SENSORS", per_batch * 40)
             calls.clear()
             sweeps[per_batch] = run_sweep(base, "p_f", ["0.0", "0.24"])
             assert calls == sizes * 2
@@ -522,6 +522,26 @@ class TestRunSweep:
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="nk"):
             run_sweep(small_config(), "nk", ["3x2"])
+
+    @pytest.mark.parametrize("param, values", [
+        ("sensor_count", ["200", "0"]), ("nk", ["5/3", "5/6"]),
+    ])
+    def test_bad_value_rejected_before_any_run(self, monkeypatch, param, values):
+        # The first value is valid, so a cell-by-cell check would search
+        # and simulate it before reaching the bad one.
+        calls = []
+
+        def counted(name, func):
+            def wrapper(*args):
+                calls.append(name)
+                return func(*args)
+            return wrapper
+
+        for name in ("minimize_error", "generate_field"):
+            monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+        with pytest.raises(ConfigError):
+            run_sweep(small_config(lambda1=None, lambda2=None), param, values)
+        assert calls == []
 
     def test_empty_values_rejected(self):
         with pytest.raises(ConfigError, match="at least one"):
