@@ -28,6 +28,7 @@ import numpy as np
 from .decision_rules import (
     LikelihoodThresholds,
     LocalMetrics,
+    _UNIT_TOL,
     gammas_from_lambdas,
     local_metrics,
 )
@@ -48,8 +49,6 @@ __all__ = [
 ]
 
 MAX_ORACLE_SENSORS = 12
-
-_UNIT_TOL = 1e-9
 
 _pow = elementwise(pow, 2)
 
@@ -126,10 +125,6 @@ class FaultModel:
         model = cls(share, share, share, share, share, share)
         object.__setattr__(model, "total_probability", total)
         return model
-
-    @classmethod
-    def none(cls) -> "FaultModel":
-        return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)

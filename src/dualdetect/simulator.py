@@ -13,31 +13,23 @@ error rate holds one value per realization. A single field is a list
 of one generator.
 
 Faults corrupt reported decisions between the local and fusion stages.
-Two realizations are available:
-
-``forced-change``
-    Exactly floor(P_f * N) distinct sensors are drawn, the product taken
-    exactly on P_f's shortest decimal form (0.29 * 100 is 29), and each
-    one's decision is replaced by one of the other two labels, chosen
-    with probability proportional to the fault matrix's off-diagonal
-    entries in its current label's row (an even split when both are
-    zero).
-
-``alpha-table``
-    Every sensor independently draws its report from its decision's row
-    of the fault matrix, so it keeps its decision with the diagonal
-    mass; sensors whose reports changed are flagged faulty.
-
-Both modes map one uniform draw per faulted sensor onto its row's two
-off-diagonal arcs taken in ascending column order, which fixes the
-labels a given seed produces.
+``FaultSpec.arcs`` states each mode's law once: where a faulted sensor
+goes along the two off-diagonal arcs leaving its decision's row of the
+fault matrix. ``forced-change`` faults exactly floor(P_f * N) distinct
+sensors, the product taken exactly on P_f's shortest decimal form
+(0.29 * 100 is 29), and moves each one in proportion to its row's arcs
+(evenly when both are zero). ``alpha-table`` faults every sensor with
+the matrix's own arcs, so each keeps its decision with the diagonal
+mass. One injector maps one uniform draw per faulted sensor onto its
+row's arcs in ascending column order, which fixes the labels a given
+seed produces; sensors whose reports changed are flagged faulty.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -140,12 +132,30 @@ class SensorField:
     neighbors: np.ndarray    # (R*N, n) int64, nearest first
 
 
+# Each FaultModel.matrix row's off-diagonal columns in ascending order.
+# Rows and columns follow CODES, so a decision code's row is code % 3.
+_ARC_COLUMNS = np.array([[1, 2], [0, 2], [0, 1]])
+
+
 @dataclass(frozen=True)
 class FaultSpec:
-    """How faults are injected into one run."""
+    """How faults are injected into one run.
+
+    ``arcs`` states each mode's transition law once: row ``code % 3``
+    holds the probabilities that a faulted sensor with that decision
+    moves to the row's two off-diagonal columns (``_ARC_COLUMNS`` order);
+    it keeps its decision with the rest. Under ``alpha-table`` they are
+    the fault matrix's off-diagonal entries; under ``forced-change`` the
+    same entries rescaled to add up to 1 (0.5 each when both are zero).
+    The per-vote matrix is ``w * arcs`` off the diagonal, with
+    ``w = floor(P_f * N) / N`` under forced-change and 1 under
+    alpha-table. Arcs premultiplied by P_f would make the injector
+    divide it out again, and that rounding can move a draw.
+    """
 
     model: FaultModel
     mode: str = "forced-change"
+    arcs: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         total = self.model.total_probability
@@ -153,6 +163,12 @@ class FaultSpec:
             raise ValueError(f"fault probability must not exceed 1, got {total!r}")
         if self.mode not in FAULT_MODES:
             raise ValueError(f"fault mode must be one of {FAULT_MODES}, got {self.mode!r}")
+        arcs = tuple((row[c0], row[c1])
+                     for row, (c0, c1) in zip(self.model.matrix, _ARC_COLUMNS.tolist()))
+        if self.mode == "forced-change":
+            arcs = tuple((a / (a + b), 1.0 - a / (a + b)) if a + b > 0.0 else (0.5, 0.5)
+                         for a, b in arcs)
+        object.__setattr__(self, "arcs", arcs)
 
 
 @dataclass(frozen=True)
@@ -376,54 +392,33 @@ def generate_field(config: FieldConfig, rngs: Sequence[np.random.Generator]) -> 
                        neighbors=neighbors)
 
 
-# Each FaultModel.matrix row's off-diagonal columns in ascending order.
-# Rows and columns follow CODES, so a decision code's row is code % 3.
-_ARC_COLUMNS = np.array([[1, 2], [0, 2], [0, 1]])
-
-
-def _row_arcs(model: FaultModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's two off-diagonal columns and their matrix entries."""
-    columns = _ARC_COLUMNS[rows]
-    return columns, np.array(model.matrix)[rows[:, None], columns]
-
-
-def _inject_forced_change(
+def _inject_faults(
     local: np.ndarray, spec: FaultSpec, rngs: Sequence[np.random.Generator]
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Reported decisions and fault flags: the mode picks the faulted
+    sensors and their draws, then a draw below the first arc takes it,
+    one below both arcs takes the second, and any other keeps the label.
+    """
     size = local.shape[0] // len(rngs)
-    # The floor of the decimal product: the double nearest 0.29 lies
-    # below it, so 0.29 * 100 would floor to 28 in floating point.
-    n_faulty = math.floor(Fraction(repr(float(spec.model.total_probability))) * size)
-    # Each realization's generator picks its faulty sensors, then draws
-    # their transitions.
-    draws = [(g.choice(size, size=n_faulty, replace=False), g.random(n_faulty)) for g in rngs]
-    chosen = np.concatenate([picked + i * size for i, (picked, _) in enumerate(draws)])
-    u = np.concatenate([u for _, u in draws])
-    faulty = np.zeros(local.shape[0], dtype=bool)
-    faulty[chosen] = True
-
+    if spec.mode == "forced-change":
+        # The floor of the decimal product: the double nearest 0.29 lies
+        # below it, so 0.29 * 100 would floor to 28 in floating point.
+        n_faulty = math.floor(Fraction(repr(float(spec.model.total_probability))) * size)
+        # Each realization's generator picks its faulty sensors, then draws
+        # their transitions.
+        draws = [(g.choice(size, size=n_faulty, replace=False), g.random(n_faulty)) for g in rngs]
+        chosen = np.concatenate([picked + i * size for i, (picked, _) in enumerate(draws)])
+        u = np.concatenate([u for _, u in draws])
+    else:
+        chosen = slice(None)
+        u = np.concatenate([g.random(size) for g in rngs])
+    rows = local[chosen] % 3
+    arcs, columns = np.array(spec.arcs)[rows], _ARC_COLUMNS[rows]
+    moved = np.where(u < arcs[:, 0], columns[:, 0],
+                     np.where(u < arcs[:, 0] + arcs[:, 1], columns[:, 1], rows))
     reported = local.copy()
-    columns, weights = _row_arcs(spec.model, local[chosen] % 3)
-    total = weights[:, 0] + weights[:, 1]
-    p_first = np.divide(
-        weights[:, 0], total, out=np.full(chosen.size, 0.5), where=total > 0.0
-    )
-    reported[chosen] = CODES[np.where(u < p_first, columns[:, 0], columns[:, 1])]
-    return reported, faulty
-
-
-def _inject_alpha_table(
-    local: np.ndarray, spec: FaultSpec, rngs: Sequence[np.random.Generator]
-) -> tuple[np.ndarray, np.ndarray]:
-    u = np.concatenate([g.random(local.shape[0] // len(rngs)) for g in rngs])
-    rows = local % 3
-    columns, weights = _row_arcs(spec.model, rows)
-    to_first = u < weights[:, 0]
-    to_second = u < weights[:, 0] + weights[:, 1]
-    chosen = np.where(to_first, columns[:, 0], np.where(to_second, columns[:, 1], rows))
-    reported = CODES[chosen]
-    faulty = reported != local
-    return reported, faulty
+    reported[chosen] = CODES[moved]
+    return reported, reported != local
 
 
 def run_detection(
@@ -453,12 +448,9 @@ def run_detection(
     local = classify_observations(observations, gammas)
 
     if faults is None:
-        reported = local
-        faulty = np.zeros(local.shape, dtype=bool)
-    elif faults.mode == "forced-change":
-        reported, faulty = _inject_forced_change(local, faults, rngs)
+        reported, faulty = local, np.zeros(local.shape, dtype=bool)
     else:
-        reported, faulty = _inject_alpha_table(local, faults, rngs)
+        reported, faulty = _inject_faults(local, faults, rngs)
 
     final = fuse_decisions(reported, field.neighbors, k)
     clean_final = final if faults is None else fuse_decisions(local, field.neighbors, k)

@@ -230,7 +230,7 @@ def test_criterion_08_monte_carlo_matches_metrics():
 
 def test_criterion_09_fault_identities(model, priors, params):
     rng = np.random.default_rng(17)
-    zero = FaultModel.none()
+    zero = FaultModel.uniform_split(0.0)
     worst = 0.0
     identity_ok = True
     for _ in range(100):

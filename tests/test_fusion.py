@@ -143,7 +143,7 @@ class TestFaultModel:
         assert faults.alpha1 == pytest.approx(0.02)
         assert faults.total_probability == pytest.approx(0.12)
 
-    @pytest.mark.parametrize("total", [0.12, 0.25, 1.0])
+    @pytest.mark.parametrize("total", [0.0, 0.12, 0.25, 1.0])
     def test_uniform_split_reports_its_total(self, total):
         # Six shares of total / 6 can add up to one ulp less than total.
         assert FaultModel.uniform_split(total).total_probability == total
@@ -152,10 +152,6 @@ class TestFaultModel:
         explicit = FaultModel(share, share, share, share, share, share)
         assert explicit.total_probability == share + share + share + share + share + share
         assert explicit == FaultModel.uniform_split(total)
-
-    def test_none(self):
-        faults = FaultModel.none()
-        assert faults.total_probability == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -187,7 +183,7 @@ def _transition_matrix(f):
 class TestFaultAdjust:
     def test_zero_faults_is_identity(self):
         m = LocalMetrics(p_d1=0.6, p_m1=0.2, p_d2=0.7, p_m2=0.1, p_f1=0.05, p_f2=0.02)
-        assert fault_adjust(m, FaultModel.none()) == m
+        assert fault_adjust(m, FaultModel.uniform_split(0.0)) == m
 
     @given(metrics_strategy(), fault_strategy())
     @settings(max_examples=200)
@@ -232,12 +228,14 @@ class TestProbError:
             )
             gammas = gammas_from_lambdas(model, lambdas)
             baseline = prob_error(priors, fusion_quality(local_metrics(model, gammas), params))
-            with_faults = prob_error_faulty(model, priors, lambdas, params, FaultModel.none())
+            zero = FaultModel.uniform_split(0.0)
+            with_faults = prob_error_faulty(model, priors, lambdas, params, zero)
             assert with_faults == baseline
 
     def test_faults_raise_error_at_defaults(self, model, priors, params):
         lambdas = LikelihoodThresholds(0.9829, 1.8496)
-        clean = prob_error_faulty(model, priors, lambdas, params, FaultModel.none())
+        zero = FaultModel.uniform_split(0.0)
+        clean = prob_error_faulty(model, priors, lambdas, params, zero)
         faulty = prob_error_faulty(model, priors, lambdas, params, FaultModel.uniform_split(0.24))
         assert faulty > clean
 

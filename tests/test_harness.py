@@ -97,6 +97,14 @@ GOLDEN_SWEEP_DIGESTS = {
         "44f5185be1fa4e422f51fdfee8aa9e11ebf6fc27c17f14589a7dffd3521abd29",
     ("p_f", "0.12,0.24", ("--lambda1", "1", "--lambda2", "2")):
         "a5584aea5bac0e42e3ecd0cad1b37663aa58b9db10bf830fdbf2e77314b46f5d",
+    # Unequal (+1), one-sided (quiet) and all-zero (-1) arcs pin each
+    # mode's transition law beyond an even split.
+    ("sensor_count", "200,400", ("--p-f", "0", "--alphas", "0.1,0,0.05,0,0.3,0",
+                                 "--fault-mode", "forced-change")):
+        "0280917c1b16035670f123ffd2f475dbcf66fb09368e09357c90445418bdf848",
+    ("sensor_count", "200,400", ("--p-f", "0", "--alphas", "0.1,0,0.05,0,0.3,0",
+                                 "--fault-mode", "alpha-table")):
+        "1d8f2145b3b548f35ff1775daa7c05b07ccd183c6597ed1ce785d3265d3f5e35",
 }
 
 

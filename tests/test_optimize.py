@@ -70,7 +70,7 @@ class TestSearchBehavior:
 
     def test_zero_fault_model_equals_no_faults(self, model, priors, params):
         bare = minimize_error(model, priors, params)
-        with_zero = minimize_error(model, priors, params, FaultModel.none())
+        with_zero = minimize_error(model, priors, params, FaultModel.uniform_split(0.0))
         assert bare.lambda1 == with_zero.lambda1
         assert bare.lambda2 == with_zero.lambda2
         assert bare.objective_value == with_zero.objective_value

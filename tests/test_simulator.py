@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.spatial import cKDTree
 
 from dualdetect import (
@@ -20,7 +21,7 @@ from dualdetect import (
 )
 from dualdetect import simulator
 from dualdetect.decision_rules import LikelihoodThresholds
-from dualdetect.simulator import _inject_forced_change, _nearest_neighbors
+from dualdetect.simulator import _inject_faults, _nearest_neighbors
 
 RATES = ("local_error_rate", "final_error_rate", "clean_local_error_rate",
          "clean_final_error_rate")
@@ -435,7 +436,7 @@ class TestRunDetection:
     def test_forced_change_count_is_decimal_floor(self, p_f, count, expected):
         spec = FaultSpec(FaultModel.uniform_split(p_f), "forced-change")
         local = np.zeros(count, dtype=np.int8)
-        _, faulty = _inject_forced_change(local, spec, [np.random.default_rng(0)])
+        _, faulty = _inject_faults(local, spec, [np.random.default_rng(0)])
         assert int(faulty.sum()) == expected
 
     def test_forced_change_flips_every_selected_sensor(self):
@@ -501,3 +502,55 @@ class TestRunDetection:
         np.testing.assert_array_equal(a.local, b.local)
         np.testing.assert_array_equal(a.final, b.final)
 
+
+# The +1 row's arcs are unequal (0.1 to 0, 0.05 to -1), the quiet row's
+# one-sided (0.3 to +1, 0 to -1) and the -1 row's both zero.
+SKEWED_ALPHAS = (0.1, 0.0, 0.05, 0.0, 0.3, 0.0)
+
+
+def _within_4_se(hits, trials, p):
+    se = math.sqrt(p * (1.0 - p) / trials)
+    return hits == p * trials if se == 0.0 else abs(hits / trials - p) <= 4.0 * se
+
+
+class TestFaultLaw:
+    @staticmethod
+    def _inject(mode):
+        rng = np.random.default_rng(11)
+        local = rng.permutation(np.repeat(np.array([0, 1, -1], dtype=np.int8), 20_000))
+        spec = FaultSpec(FaultModel(*SKEWED_ALPHAS), mode)
+        reported, faulty = _inject_faults(local, spec, [rng])
+        np.testing.assert_array_equal(faulty, reported != local)
+        return local, reported, faulty
+
+    def test_forced_change_moves_in_proportion_to_its_row(self):
+        local, reported, faulty = self._inject("forced-change")
+        assert int(faulty.sum()) == math.floor(0.45 * 60_000)
+        # One-sided quiet row: every faulted quiet sensor reports +1.
+        quiet = faulty & (local == 0)
+        assert quiet.any() and np.all(reported[quiet] == 1)
+        # Arcs 0.1 : 0.05 send a faulted +1 sensor to 0 two times in three,
+        # and the -1 row's zero arcs split evenly.
+        for label, to_quiet in ((1, 2.0 / 3.0), (-1, 0.5)):
+            moved = faulty & (local == label)
+            hits = int((reported[moved] == 0).sum())
+            assert _within_4_se(hits, int(moved.sum()), to_quiet), (label, hits)
+
+    def test_alpha_table_reports_follow_matrix_rows(self):
+        local, reported, _ = self._inject("alpha-table")
+        matrix = FaultModel(*SKEWED_ALPHAS).matrix
+        for label in (0, 1, -1):
+            reports = reported[local == label]
+            for to in (0, 1, -1):
+                p = matrix[label % 3][to % 3]
+                hits = int((reports == to).sum())
+                assert _within_4_se(hits, reports.size, p), (label, to, hits)
+
+    @given(st.tuples(*(st.floats(0.0, 1.0 / 6.0) for _ in range(6))))
+    def test_arcs_state_each_mode_law(self, alphas):
+        model = FaultModel(*alphas)
+        forced = FaultSpec(model, "forced-change").arcs
+        table = FaultSpec(model, "alpha-table").arcs
+        for row, (first, second) in enumerate(forced):
+            assert first + second == 1.0
+            assert table[row] == tuple(model.matrix[row][c] for c in range(3) if c != row)
