@@ -15,7 +15,6 @@ import numpy as np
 from dualdetect import (
     FieldConfig,
     LikelihoodThresholds,
-    Rectangle,
     SignalModel,
     gammas_from_lambdas,
     generate_field,
@@ -38,15 +37,7 @@ def render(positions, codes, width, height, columns=56, rows=24):
 
 
 def main():
-    config = FieldConfig(
-        width=20.0,
-        height=20.0,
-        sensor_count=200,
-        event1_region=Rectangle(0.0, 0.0, 10.0, 10.0),
-        event2_region=Rectangle(12.0, 12.0, 20.0, 20.0),
-        neighborhood_size=5,
-        quorum=3,
-    )
+    config = FieldConfig()
     model = SignalModel(m0=0.0, m1=3.0, m2=6.0)
     lambdas = LikelihoodThresholds(lambda1=0.9829, lambda2=1.8496)
     gammas = gammas_from_lambdas(model, lambdas)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .decision_rules import LikelihoodThresholds, gammas_from_lambdas
-from .fusion import FaultModel, FusionParams
+from .fusion import FaultModel
 from .optimize import OptimizationResult, minimize_error
 from .signal_model import CODES, Priors, SignalModel
 from .simulator import (
@@ -70,24 +70,16 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(FieldConfig):
     """One experiment's complete parameter set.
 
-    Defaults reproduce the reference scenario: a 20 x 20 field with 200
-    sensors, a 10 x 10 first-event region in the lower-left corner, an
-    8 x 8 second-event region in the upper-right corner, 3-of-5 fusion,
-    means (0, 3, 6) and priors (0.59, 0.25, 0.16). Building one, directly
-    or through ``dataclasses.replace``, raises ConfigError on a bad value.
+    The first eight fields are the field's (``FieldConfig``, whose
+    defaults are the reference field), so the simulator reads this
+    config directly. The rest default to means (0, 3, 6) and priors
+    (0.59, 0.25, 0.16) without faults. Building one, directly or through
+    ``dataclasses.replace``, raises ConfigError on a bad value.
     """
 
-    width: float = 20.0
-    height: float = 20.0
-    sensor_count: int = 200
-    event1_region: tuple[float, float, float, float] = (0.0, 0.0, 10.0, 10.0)
-    event2_region: tuple[float, float, float, float] = (12.0, 12.0, 20.0, 20.0)
-    neighborhood_size: int = 5
-    quorum: int = 3
-    include_self: bool = True
     m0: float = 0.0
     m1: float = 3.0
     m2: float = 6.0
@@ -108,8 +100,7 @@ class ExperimentConfig:
         try:
             self.signal_model()
             self.priors()
-            self.fusion_params()
-            self.field_config()
+            super().__post_init__()
             # A zero fault model stands in so fault_mode is checked without faults.
             FaultSpec(self.fault_model() or FaultModel.uniform_split(0.0), self.fault_mode)
             if self.alphas is not None and self.p_f != 0.0:
@@ -131,21 +122,6 @@ class ExperimentConfig:
 
     def priors(self) -> Priors:
         return Priors(self.q0, self.q1, self.q2)
-
-    def fusion_params(self) -> FusionParams:
-        return FusionParams(self.neighborhood_size, self.quorum)
-
-    def field_config(self) -> FieldConfig:
-        return FieldConfig(
-            width=self.width,
-            height=self.height,
-            sensor_count=self.sensor_count,
-            event1_region=Rectangle(*self.event1_region),
-            event2_region=Rectangle(*self.event2_region),
-            neighborhood_size=self.neighborhood_size,
-            quorum=self.quorum,
-            include_self=self.include_self,
-        )
 
     def fault_model(self) -> FaultModel | None:
         if self.alphas is not None:
@@ -194,10 +170,13 @@ def _parse_floats(count: int, raw: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
+def _parse_region(raw: str) -> Rectangle:
+    return Rectangle(*_parse_floats(4, raw))
+
+
 CONFIG_KEYS = {
     "width": float, "height": float, "sensor_count": int,
-    "event1_region": partial(_parse_floats, 4),
-    "event2_region": partial(_parse_floats, 4),
+    "event1_region": _parse_region, "event2_region": _parse_region,
     "neighborhood_size": int, "quorum": int, "include_self": _parse_bool,
     "m0": float, "m1": float, "m2": float,
     "q0": float, "q1": float, "q2": float,
@@ -303,10 +282,9 @@ def _prepare_cell(config: ExperimentConfig, searches: _Searches) -> tuple[
     model = config.signal_model()
     gammas = gammas_from_lambdas(model, thresholds)
     spec = config.fault_spec()
-    field_config = config.field_config()
 
     def realize(rngs: list[np.random.Generator]) -> RunResult:
-        return run_detection(generate_field(field_config, rngs), model, gammas, spec, rngs)
+        return run_detection(generate_field(config, rngs), model, gammas, spec, rngs)
 
     return thresholds, optimization, realize
 

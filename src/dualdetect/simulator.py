@@ -86,15 +86,21 @@ class Rectangle:
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Geometry and neighborhood layout of one simulated field."""
+    """Geometry and neighborhood layout of one simulated field.
 
-    width: float
-    height: float
-    sensor_count: int
-    event1_region: Rectangle
-    event2_region: Rectangle
-    neighborhood_size: int
-    quorum: int
+    Defaults reproduce the reference field: 20 x 20 with 200 sensors, a
+    10 x 10 first-event region in the lower-left corner, an 8 x 8
+    second-event region in the upper-right corner, and 3-of-5 fusion
+    that counts a sensor's own report.
+    """
+
+    width: float = 20.0
+    height: float = 20.0
+    sensor_count: int = 200
+    event1_region: Rectangle = Rectangle(0.0, 0.0, 10.0, 10.0)
+    event2_region: Rectangle = Rectangle(12.0, 12.0, 20.0, 20.0)
+    neighborhood_size: int = 5
+    quorum: int = 3
     include_self: bool = True
 
     def __post_init__(self) -> None:
@@ -104,6 +110,8 @@ class FieldConfig:
             raise ValueError(f"sensor_count must be positive, got {self.sensor_count}")
         for name in ("event1_region", "event2_region"):
             region = getattr(self, name)
+            if not isinstance(region, Rectangle):
+                raise TypeError(f"{name} must be a Rectangle, got {region!r}")
             if not region.within(self.width, self.height):
                 raise ValueError(f"{name} {region!r} does not fit inside the field")
         if self.event1_region.overlaps(self.event2_region):
@@ -114,7 +122,10 @@ class FieldConfig:
                 f"neighborhood_size must lie in [1, {available}], "
                 f"got {self.neighborhood_size}"
             )
-        FusionParams(self.neighborhood_size, self.quorum)  # checks 1 <= quorum <= n
+        self.fusion_params()  # checks 1 <= quorum <= n
+
+    def fusion_params(self) -> FusionParams:
+        return FusionParams(self.neighborhood_size, self.quorum)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,10 @@ import pytest
 from dualdetect import (
     ConfigError,
     ExperimentConfig,
+    FieldConfig,
+    Rectangle,
     fusion_quality,
+    gammas_from_lambdas,
     generate_field,
     harness,
     load_config,
@@ -161,7 +164,7 @@ class TestConfigParsing:
 
     def test_region_value(self):
         values = parse_config_text("event1_region = 0, 0, 10, 10\n")
-        assert values == {"event1_region": (0.0, 0.0, 10.0, 10.0)}
+        assert values == {"event1_region": Rectangle(0.0, 0.0, 10.0, 10.0)}
 
     def test_alpha_block(self):
         text = "\n".join(f"alpha{i} = 0.0{i}" for i in range(1, 7))
@@ -254,10 +257,32 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("changes", [
         {"quorum": 9}, {"lambda1": 1.0}, {"fault_mode": "bogus"},
-    ], ids=["quorum", "lambda1", "fault_mode"])
+        {"event2_region": "12,12,20,20"},
+    ], ids=["quorum", "lambda1", "fault_mode", "event2_region"])
     def test_replace_rejects_invalid_values(self, changes):
         with pytest.raises(ConfigError):
             replace(ExperimentConfig(), **changes)
+
+    @pytest.mark.parametrize("changes, match", [
+        ({"event1_region": (0.0, 0.0, 5.0, 5.0)}, "event1_region must be a Rectangle"),
+        ({"event2_region": Rectangle(12.0, 12.0, 22.0, 20.0)}, "does not fit"),
+        ({"event2_region": Rectangle(8.0, 8.0, 20.0, 20.0)}, "must not overlap"),
+    ], ids=["tuple", "outside", "overlapping"])
+    def test_bad_region_rejected_in_python(self, changes, match):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig(**changes)
+        with pytest.raises(ConfigError, match=match):
+            replace(ExperimentConfig(), **changes)
+
+    @pytest.mark.parametrize("raw", ["5,0,4,10", "12,12,22,20", "8,8,20,20"],
+                             ids=["degenerate", "outside", "overlapping"])
+    def test_bad_region_rejected_from_file_and_flag(self, tmp_path, capsys, raw):
+        conf = tmp_path / "region.conf"
+        conf.write_text(f"event2_region = {raw}\n")
+        with pytest.raises(ConfigError):
+            load_config(conf)
+        assert main(["optimize", "--event2-region", raw]) == 2
+        assert "error" in capsys.readouterr().err
 
     def test_alphas_define_fault_probability(self):
         config = ExperimentConfig(alphas=(0.02,) * 6)
@@ -265,6 +290,39 @@ class TestConfigValidation:
 
     def test_defaults_are_valid(self):
         ExperimentConfig()
+
+
+GEOMETRY = [f.name for f in fields(FieldConfig)]
+
+
+class TestFieldGeometry:
+    """An ExperimentConfig is the field config the simulator reads."""
+
+    def test_defaults_match_field_config(self):
+        experiment, field = ExperimentConfig(), FieldConfig()
+        assert isinstance(experiment, FieldConfig)
+        assert [getattr(experiment, k) for k in GEOMETRY] == [getattr(field, k) for k in GEOMETRY]
+
+    def test_field_and_rates_match_field_config(self):
+        config = ExperimentConfig(
+            sensor_count=300, event1_region=Rectangle(1.0, 2.0, 9.0, 8.0),
+            event2_region=Rectangle(13.0, 12.0, 19.0, 18.0), neighborhood_size=7,
+            quorum=4, include_self=False, p_f=0.12, lambda1=0.9829, lambda2=1.8496,
+        )
+        same = FieldConfig(**{k: getattr(config, k) for k in GEOMETRY})
+        gammas = gammas_from_lambdas(config.signal_model(), config.threshold_override())
+        results = []
+        for field_config in (config, same):
+            rngs = [np.random.default_rng(seed) for seed in (4, 5)]
+            field = generate_field(field_config, rngs)
+            results.append(simulator.run_detection(
+                field, config.signal_model(), gammas, config.fault_spec(), rngs))
+        a, b = results
+        for name in ("positions", "truth", "neighbors"):
+            np.testing.assert_array_equal(getattr(a.field, name), getattr(b.field, name))
+        for name in ("local_error_rate", "final_error_rate", "clean_local_error_rate",
+                     "clean_final_error_rate"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 class TestRunSingle:
@@ -372,8 +430,7 @@ class TestRunSingle:
         truth = np.array([0, 1, -1, -1, 1, 0], dtype=np.int8)
         decisions = np.array([0, 0, 1, 1, -1, -1], dtype=np.int8)
         flags = np.array([False, True] * 3)
-        base = generate_field(small_config(sensor_count=6).field_config(),
-                              [np.random.default_rng(0)])
+        base = generate_field(small_config(sensor_count=6), [np.random.default_rng(0)])
         field = replace(base, positions=positions, truth=truth)
         files = [("one.csv", decisions, flags), ("two.csv", decisions[::-1], ~flags)]
         paths = harness._write_scatter(tmp_path, field, files)

@@ -27,20 +27,6 @@ RATES = ("local_error_rate", "final_error_rate", "clean_local_error_rate",
          "clean_final_error_rate")
 
 
-def default_config(**overrides):
-    values = dict(
-        width=20.0,
-        height=20.0,
-        sensor_count=200,
-        event1_region=Rectangle(0.0, 0.0, 10.0, 10.0),
-        event2_region=Rectangle(12.0, 12.0, 20.0, 20.0),
-        neighborhood_size=5,
-        quorum=3,
-    )
-    values.update(overrides)
-    return FieldConfig(**values)
-
-
 def _layout(name, count, rng):
     """Sensor positions: a uniform field, a lattice full of duplicates, a
     thin strip, or a uniform field with half its sensors in a dense blob."""
@@ -102,31 +88,30 @@ class TestRectangle:
 class TestFieldConfig:
     def test_overlapping_regions_rejected(self):
         with pytest.raises(ValueError):
-            default_config(event2_region=Rectangle(8.0, 8.0, 20.0, 20.0))
+            FieldConfig(event2_region=Rectangle(8.0, 8.0, 20.0, 20.0))
 
     def test_region_outside_field_rejected(self):
         with pytest.raises(ValueError):
-            default_config(event2_region=Rectangle(12.0, 12.0, 22.0, 20.0))
+            FieldConfig(event2_region=Rectangle(12.0, 12.0, 22.0, 20.0))
 
     def test_quorum_bounds(self):
         with pytest.raises(ValueError):
-            default_config(quorum=6)
+            FieldConfig(quorum=6)
         with pytest.raises(ValueError):
-            default_config(quorum=0)
+            FieldConfig(quorum=0)
+
+    def test_region_must_be_a_rectangle(self):
+        with pytest.raises(TypeError, match="event1_region must be a Rectangle"):
+            FieldConfig(event1_region=(0.0, 0.0, 5.0, 5.0))
 
     def test_neighborhood_without_self_needs_spare_sensor(self):
         with pytest.raises(ValueError):
-            FieldConfig(
-                width=20.0, height=20.0, sensor_count=5,
-                event1_region=Rectangle(0.0, 0.0, 10.0, 10.0),
-                event2_region=Rectangle(12.0, 12.0, 20.0, 20.0),
-                neighborhood_size=5, quorum=3, include_self=False,
-            )
+            FieldConfig(sensor_count=5, include_self=False)
 
 
 class TestGenerateField:
     def test_truth_follows_regions(self):
-        config = default_config()
+        config = FieldConfig()
         field = generate_field(config, [np.random.default_rng(3)])
         for (x, y), truth in zip(field.positions, field.truth):
             if config.event1_region.contains(x, y):
@@ -137,20 +122,20 @@ class TestGenerateField:
                 assert truth == 0
 
     def test_positions_inside_field(self):
-        field = generate_field(default_config(), [np.random.default_rng(3)])
+        field = generate_field(FieldConfig(), [np.random.default_rng(3)])
         assert np.all(field.positions >= 0.0)
         assert np.all(field.positions[:, 0] <= 20.0)
         assert np.all(field.positions[:, 1] <= 20.0)
 
     def test_deterministic(self):
-        a = generate_field(default_config(), [np.random.default_rng(11)])
-        b = generate_field(default_config(), [np.random.default_rng(11)])
+        a = generate_field(FieldConfig(), [np.random.default_rng(11)])
+        b = generate_field(FieldConfig(), [np.random.default_rng(11)])
         np.testing.assert_array_equal(a.positions, b.positions)
         np.testing.assert_array_equal(a.neighbors, b.neighbors)
 
     def test_large_field_memory_is_linear(self):
         # An N x N distance matrix alone would take 3.2 GB here.
-        config = default_config(sensor_count=20_000)
+        config = FieldConfig(sensor_count=20_000)
         tracemalloc.start()
         try:
             field = generate_field(config, [np.random.default_rng(4)])
@@ -389,7 +374,7 @@ class TestRunDetection:
         )
 
     def _run(self, config=None, faults=None, seed=7):
-        config = config or default_config()
+        config = config or FieldConfig()
         rngs = [np.random.default_rng(seed)]
         return run_detection(generate_field(config, rngs), self.model, self.gammas, faults, rngs)
 
@@ -410,7 +395,7 @@ class TestRunDetection:
     def test_wide_separation_with_self_fusion_is_exact(self):
         model = SignalModel(0.0, 30.0, 60.0)
         gammas = gammas_from_lambdas(model, LikelihoodThresholds(1.0, 1.0))
-        config = default_config(neighborhood_size=1, quorum=1)
+        config = FieldConfig(neighborhood_size=1, quorum=1)
         rngs = [np.random.default_rng(5)]
         result = run_detection(generate_field(config, rngs), model, gammas, None, rngs)
         assert result.local_error_rate[0] == 0.0
@@ -473,7 +458,7 @@ class TestRunDetection:
         # Each generator drives its own realization in the same order as
         # when it runs alone, so a batch is the realizations stacked.
         faults = None if mode is None else FaultSpec(FaultModel.uniform_split(0.24), mode)
-        config = default_config(sensor_count=90)
+        config = FieldConfig(sensor_count=90)
         seeds = (3, 4, 5)
         rngs = [np.random.default_rng(seed) for seed in seeds]
         batch = run_detection(generate_field(config, rngs), self.model, self.gammas, faults, rngs)
@@ -492,7 +477,7 @@ class TestRunDetection:
 
     def test_generators_must_match_field(self):
         rngs = [np.random.default_rng(seed) for seed in (1, 2)]
-        field = generate_field(default_config(), rngs)
+        field = generate_field(FieldConfig(), rngs)
         with pytest.raises(ValueError, match="generators"):
             run_detection(field, self.model, self.gammas, None, rngs[:1])
 
