@@ -15,7 +15,6 @@ are still written).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -52,15 +51,18 @@ EXIT_ORACLE_MISMATCH = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NOT_CONVERGED = 3
 
-# Keys set another way on the command line: --exclude-self clears
-# include_self, and simulate's own --output-dir names its directory.
-_NO_FLAG_KEYS = {"include_self", "output_dir"}
+# oracle-check's random scenarios, their seed, and the largest
+# closed-form/enumeration difference it accepts.
+ORACLE_TRIALS = 25
+ORACLE_SEED = 0
+ORACLE_TOLERANCE = 1e-10
 
 _FLAG_OPTIONS = {
     "event1_region": {"metavar": "X0,Y0,X1,Y1"},
     "event2_region": {"metavar": "X0,Y0,X1,Y1"},
     "alphas": {"metavar": "A1,A2,A3,A4,A5,A6",
                "help": "explicit fault transition probabilities"},
+    "include_self": {"metavar": "BOOL"},
     "fault_mode": {"choices": FAULT_MODES},
 }
 
@@ -72,24 +74,15 @@ def _flag(key: str) -> str:
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="flat key = value config file")
     for key in CONFIG_KEYS:
-        if key not in _NO_FLAG_KEYS:
-            parser.add_argument(_flag(key), default=None, dest=key,
-                                **_FLAG_OPTIONS.get(key, {}))
-    parser.add_argument(
-        "--exclude-self", action="store_true",
-        help="fuse over the n nearest other sensors instead of n including self",
-    )
+        parser.add_argument(_flag(key), default=None, dest=key, **_FLAG_OPTIONS.get(key, {}))
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict[str, object]:
-    overrides: dict[str, object] = {}
-    for key in CONFIG_KEYS:
-        raw = getattr(args, key, None)
-        if key not in _NO_FLAG_KEYS and raw is not None:
-            overrides[key] = parse_value(key, raw, _flag(key))
-    if args.exclude_self:
-        overrides["include_self"] = False
-    return overrides
+    return {
+        key: parse_value(key, raw, _flag(key))
+        for key in CONFIG_KEYS
+        if (raw := getattr(args, key)) is not None
+    }
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
@@ -150,16 +143,9 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from None
     if params.n > MAX_ORACLE_SENSORS:
         raise ConfigError(f"--n must not exceed {MAX_ORACLE_SENSORS}, got {params.n}")
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must not be negative, got {args.seed}")
-    # A NaN tolerance would pass every run: no comparison with NaN is true.
-    if not 0.0 <= args.tolerance < math.inf:
-        raise ConfigError(f"--tolerance must be finite and not negative, got {args.tolerance!r}")
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(ORACLE_SEED)
     worst = 0.0
-    for _ in range(args.trials):
+    for _ in range(ORACLE_TRIALS):
         m0 = rng.uniform(-1.0, 1.0)
         m1 = m0 + rng.uniform(0.5, 4.0)
         m2 = m1 + rng.uniform(0.5, 4.0)
@@ -182,13 +168,12 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
             (quality.q_f, h0.event1 + h0.event2),
         ):
             worst = max(worst, abs(value - reference))
-    checked = 3 * args.trials
-    print(f"checked {checked} quantities over {args.trials} random scenarios")
+    print(f"checked {3 * ORACLE_TRIALS} quantities over {ORACLE_TRIALS} random scenarios")
     print(f"max |closed-form - enumeration| = {worst:.3e}")
-    if worst > args.tolerance:
-        print(f"MISMATCH: exceeds tolerance {args.tolerance:.1e}", file=sys.stderr)
+    if worst > ORACLE_TOLERANCE:
+        print(f"MISMATCH: exceeds tolerance {ORACLE_TOLERANCE:.1e}", file=sys.stderr)
         return EXIT_ORACLE_MISMATCH
-    print(f"agreement within {args.tolerance:.1e}")
+    print(f"agreement within {ORACLE_TOLERANCE:.1e}")
     return EXIT_OK
 
 
@@ -205,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one seeded field realization")
     _add_config_arguments(p_sim)
-    p_sim.add_argument("--output-dir", default=None, help="directory for CSV artifacts")
+    p_sim.add_argument("--output-dir", default="runs", help="directory for CSV artifacts")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="average error rates across one parameter")
@@ -223,9 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument("--n", type=int, default=5)
     p_oracle.add_argument("--k", type=int, default=3)
-    p_oracle.add_argument("--trials", type=int, default=25)
-    p_oracle.add_argument("--seed", type=int, default=0)
-    p_oracle.add_argument("--tolerance", type=float, default=1e-10)
     p_oracle.set_defaults(func=_cmd_oracle_check)
 
     return parser

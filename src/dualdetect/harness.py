@@ -93,7 +93,6 @@ class ExperimentConfig(FieldConfig):
     repetitions: int = 50
     lambda1: float | None = None
     lambda2: float | None = None
-    output_dir: str = "runs"
 
     def __post_init__(self) -> None:
         """Run every derived constructor so a bad value fails here."""
@@ -104,7 +103,7 @@ class ExperimentConfig(FieldConfig):
             # A zero fault model stands in so fault_mode is checked without faults.
             FaultSpec(self.fault_model() or FaultModel.uniform_split(0.0), self.fault_mode)
             if self.alphas is not None and self.p_f != 0.0:
-                raise ConfigError("give either p_f or alpha1..alpha6, not both")
+                raise ConfigError("give either p_f or alphas, not both")
             self.threshold_override()
             if self.repetitions < 1:
                 raise ConfigError(f"repetitions must be positive, got {self.repetitions}")
@@ -182,11 +181,8 @@ CONFIG_KEYS = {
     "q0": float, "q1": float, "q2": float,
     "p_f": float, "alphas": partial(_parse_floats, 6), "fault_mode": str,
     "seed": int, "repetitions": int,
-    "lambda1": float, "lambda2": float, "output_dir": str,
+    "lambda1": float, "lambda2": float,
 }
-
-# Config files spell the alpha table as six keys rather than one.
-_ALPHA_KEYS = tuple(f"alpha{i}" for i in range(1, 7))
 
 
 def parse_value(key: str, raw: str, where: str) -> object:
@@ -200,7 +196,6 @@ def parse_value(key: str, raw: str, where: str) -> object:
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
     """Parse flat ``key = value`` lines into typed values."""
     values: dict[str, object] = {}
-    alphas: dict[str, str] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -209,19 +204,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
         if "=" not in line:
             raise ConfigError(f"{where}: expected 'key = value', got {raw_line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key in _ALPHA_KEYS:
-            alphas[key] = raw
-        elif key in CONFIG_KEYS and key != "alphas":
-            values[key] = parse_value(key, raw, where)
-        else:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"{where}: unknown key {key!r}")
-    if alphas:
-        missing = [k for k in _ALPHA_KEYS if k not in alphas]
-        if missing:
-            raise ConfigError(f"{source}: alpha table incomplete, missing {missing}")
-        values["alphas"] = parse_value(
-            "alphas", ",".join(alphas[k] for k in _ALPHA_KEYS), source
-        )
+        values[key] = parse_value(key, raw, where)
     return values
 
 
@@ -345,15 +330,15 @@ def _write_scatter(
     return paths
 
 
-def run_single(config: ExperimentConfig, output_dir: str | Path | None = None) -> SingleRunArtifacts:
-    """Run one seeded simulation and write its scatter + summary CSVs.
+def run_single(config: ExperimentConfig, output_dir: str | Path) -> SingleRunArtifacts:
+    """Run one seeded simulation and write its scatter + summary CSVs into ``output_dir``.
 
     Scatter files pair the decision layer (local/final) with the fault
     stage (clean always; faulty only when faults are configured). Every
     error percentage in the summary is recomputable from the matching
     scatter file.
     """
-    out = make_output_dir(Path(output_dir if output_dir is not None else config.output_dir))
+    out = make_output_dir(Path(output_dir))
 
     thresholds, optimization, realize = _prepare_cell(config, {})
     result = realize([np.random.default_rng(config.seed)])

@@ -28,8 +28,9 @@ seed produces; sensors whose reports changed are flagged faulty.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -104,6 +105,17 @@ class FieldConfig:
     include_self: bool = True
 
     def __post_init__(self) -> None:
+        # Every field annotated int or bool, a subclass's included, must hold
+        # one (numpy integers count as int, a bool does not). The annotations
+        # are strings: both config modules import annotations from __future__.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "bool" and not isinstance(value, bool):
+                raise TypeError(f"{f.name} must be a bool, got {value!r}")
+            if f.type == "int" and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            ):
+                raise TypeError(f"{f.name} must be an integer, got {value!r}")
         if not (0 < self.width < math.inf and 0 < self.height < math.inf):
             raise ValueError("field dimensions must be positive and finite")
         if self.sensor_count < 1:

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -27,14 +28,13 @@ from dualdetect import (
     simulator,
 )
 from dualdetect.cli import _build_parser, _load, main
-from dualdetect.harness import SCATTER_CSV_HEADER, SWEEP_CSV_HEADER
+from dualdetect.harness import CONFIG_KEYS, SCATTER_CSV_HEADER, SWEEP_CSV_HEADER
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 # One non-default setting per group of keys, as config file text and as
 # command line flags. Priors and thresholds are only valid as a group.
-# output_dir has no override flag: simulate's --output-dir names the
-# artifact directory directly.
 KEY_PARITY_CASES = [
     ("width", "width = 30", ["--width", "30"]),
     ("height", "height = 25.5", ["--height", "25.5"]),
@@ -43,14 +43,14 @@ KEY_PARITY_CASES = [
     ("event2_region", "event2_region = 13,13,19,19", ["--event2-region", "13, 13, 19, 19"]),
     ("neighborhood_size", "neighborhood_size = 7", ["--neighborhood-size", "7"]),
     ("quorum", "quorum = 4", ["--quorum", "4"]),
-    ("include_self", "include_self = no", ["--exclude-self"]),
+    ("include_self", "include_self = no", ["--include-self", "no"]),
     ("m0", "m0 = -1", ["--m0", "-1"]),
     ("m1", "m1 = 2.5", ["--m1", "2.5"]),
     ("m2", "m2 = 7", ["--m2", "7"]),
     ("q0 q1 q2", "q0 = 0.5\nq1 = 0.3\nq2 = 0.2",
      ["--q0", "0.5", "--q1", "0.3", "--q2", "0.2"]),
     ("p_f", "p_f = 0.24", ["--p-f", "0.24"]),
-    ("alphas", "\n".join(f"alpha{i} = 0.0{i}" for i in range(1, 7)),
+    ("alphas", "alphas = 0.01, 0.02, 0.03, 0.04, 0.05, 0.06",
      ["--alphas", "0.01,0.02,0.03,0.04,0.05,0.06"]),
     ("fault_mode", "fault_mode = alpha-table", ["--fault-mode", "alpha-table"]),
     ("seed", "seed = 7", ["--seed", "7"]),
@@ -166,14 +166,18 @@ class TestConfigParsing:
         values = parse_config_text("event1_region = 0, 0, 10, 10\n")
         assert values == {"event1_region": Rectangle(0.0, 0.0, 10.0, 10.0)}
 
-    def test_alpha_block(self):
-        text = "\n".join(f"alpha{i} = 0.0{i}" for i in range(1, 7))
-        values = parse_config_text(text)
+    def test_alphas_value(self):
+        values = parse_config_text("alphas = 0.01, 0.02, 0.03, 0.04, 0.05, 0.06\n")
         assert values == {"alphas": (0.01, 0.02, 0.03, 0.04, 0.05, 0.06)}
 
-    def test_incomplete_alpha_block_rejected(self):
-        with pytest.raises(ConfigError, match="alpha"):
-            parse_config_text("alpha1 = 0.1\nalpha2 = 0.1\n")
+    def test_short_alphas_rejected(self):
+        with pytest.raises(ConfigError, match="bad value for alphas"):
+            parse_config_text("alphas = 0.1, 0.1\n")
+
+    @pytest.mark.parametrize("line", ["alpha1 = 0.1", "output_dir = runs"])
+    def test_removed_keys_rejected(self, line):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_text(line + "\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -203,7 +207,7 @@ class TestConfigParsing:
 class TestKeyParity:
     def test_cases_cover_every_key(self):
         covered = {key for case in KEY_PARITY_CASES for key in case[0].split()}
-        assert covered | {"output_dir"} == {f.name for f in fields(ExperimentConfig)}
+        assert covered == {f.name for f in fields(ExperimentConfig)} == CONFIG_KEYS.keys()
 
     @pytest.mark.parametrize(
         "file_text, argv", [case[1:] for case in KEY_PARITY_CASES],
@@ -222,10 +226,35 @@ class TestKeyParity:
         ["--event1-region", "1,2,3"],
         ["--alphas", "0.1,0.1"],
         ["--alphas", "a,b,c,d,e,f"],
+        ["--include-self", "maybe"],
     ])
     def test_bad_flag_value_exit_two(self, argv, capsys):
         assert main(["optimize", *argv]) == 2
         assert "bad value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--exclude-self"],
+        ["oracle-check", "--trials", "5"],
+        ["oracle-check", "--seed", "3"],
+        ["oracle-check", "--tolerance", "1e-3"],
+    ])
+    def test_removed_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_table_names_every_key(self):
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = text.split("\n## Configuration files\n", 1)[1].split("\n## ", 1)[0]
+        named = [name for line in section.splitlines() if line.startswith("| `")
+                 for name in re.findall(r"`(\w+)`", line.split("|")[1])]
+        assert sorted(named) == sorted(CONFIG_KEYS)
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.conf")), ids=lambda p: p.name)
+    def test_shipped_config_loads(self, path):
+        # parse_config_text rejects an unknown key.
+        assert isinstance(load_config(path), ExperimentConfig)
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--p-f", "-0.3"],
@@ -283,6 +312,37 @@ class TestConfigValidation:
             load_config(conf)
         assert main(["optimize", "--event2-region", raw]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("changes, match", [
+        ({"include_self": "no"}, "include_self must be a bool"),
+        ({"include_self": 0}, "include_self must be a bool"),
+        ({"sensor_count": 200.5}, "sensor_count must be an integer"),
+        ({"neighborhood_size": 5.0}, "neighborhood_size must be an integer"),
+        ({"quorum": 3.0}, "quorum must be an integer"),
+        ({"quorum": True}, "quorum must be an integer"),
+        ({"repetitions": 2.5}, "repetitions must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+    ], ids=["include_self-str", "include_self-int", "sensor_count", "neighborhood_size",
+            "quorum", "quorum-bool", "repetitions", "seed"])
+    def test_wrong_type_rejected_in_python(self, changes, match):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig(**changes)
+        with pytest.raises(ConfigError, match=match):
+            replace(ExperimentConfig(), **changes)
+
+    @pytest.mark.parametrize("changes", [
+        {"include_self": "no"}, {"sensor_count": 200.5}, {"neighborhood_size": True},
+    ], ids=["include_self", "sensor_count", "neighborhood_size"])
+    def test_field_config_wrong_type_is_type_error(self, changes):
+        with pytest.raises(TypeError, match="must be a"):
+            FieldConfig(**changes)
+
+    def test_numpy_integers_accepted(self):
+        config = ExperimentConfig(
+            sensor_count=np.int64(200), neighborhood_size=np.int32(5), quorum=np.int64(3),
+            seed=np.int64(2), repetitions=np.uint8(4),
+        )
+        assert (config.sensor_count, config.seed, config.repetitions) == (200, 2, 4)
 
     def test_alphas_define_fault_probability(self):
         config = ExperimentConfig(alphas=(0.02,) * 6)
@@ -528,7 +588,7 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("run, expected", [
         # Each cell's two repetitions make one batch.
-        (lambda config: run_sweep(config, "sensor_count", ["40", "50", "60"]), (3, 3, 3)),
+        (lambda config, _: run_sweep(config, "sensor_count", ["40", "50", "60"]), (3, 3, 3)),
         (run_single, (1, 1, 1)),
     ], ids=["sweep", "single"])
     def test_run_path_calls_module_bindings(self, tmp_path, monkeypatch, run, expected):
@@ -545,7 +605,7 @@ class TestRunSweep:
 
         for name in names:
             monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
-        run(small_config(repetitions=2, output_dir=str(tmp_path)))
+        run(small_config(repetitions=2), tmp_path)
         assert tuple(calls.values()) == expected
 
     @pytest.mark.parametrize("fault_mode", ["forced-change", "alpha-table"])
@@ -707,7 +767,7 @@ class TestCli:
         assert len(rows) == 2
 
     def test_oracle_check_exit_zero(self, capsys):
-        code = main(["oracle-check", "--trials", "5", "--seed", "3"])
+        code = main(["oracle-check"])
         captured = capsys.readouterr()
         assert code == 0
         assert "agreement" in captured.out
@@ -718,17 +778,13 @@ class TestCli:
             return replace(quality, q_d1=quality.q_d1 + 1e-3)
 
         monkeypatch.setattr("dualdetect.cli.fusion_quality", shifted)
-        code = main(["oracle-check", "--trials", "2", "--seed", "3"])
+        code = main(["oracle-check"])
         captured = capsys.readouterr()
         assert code == 1
         assert "MISMATCH" in captured.err
         assert "agreement" not in captured.out
 
-    @pytest.mark.parametrize("argv", [
-        ["--n", "13"], ["--n", "3", "--k", "5"], ["--trials", "0"], ["--trials", "-3"],
-        ["--tolerance", "nan"], ["--tolerance", "inf"], ["--tolerance", "-1"],
-        ["--seed", "-1"],
-    ])
+    @pytest.mark.parametrize("argv", [["--n", "13"], ["--n", "3", "--k", "5"]])
     def test_oracle_check_bad_arguments_exit_two(self, argv, capsys):
         assert main(["oracle-check", *argv]) == 2
         assert "error" in capsys.readouterr().err
