@@ -23,7 +23,6 @@ from .decision_rules import (
 )
 from .fusion import (
     FaultModel,
-    FusionOutcome,
     FusionParams,
     FusionQuality,
     enumerate_fusion_oracle,
@@ -71,7 +70,6 @@ __all__ = [
     "gammas_from_lambdas",
     "local_metrics",
     "FaultModel",
-    "FusionOutcome",
     "FusionParams",
     "FusionQuality",
     "enumerate_fusion_oracle",

@@ -15,6 +15,7 @@ are still written).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from .harness import (
     SWEEP_PARAMS,
 )
 from .optimize import minimize_error
-from .signal_model import Hypothesis, SignalModel
+from .signal_model import SignalModel
 from .simulator import FAULT_MODES
 
 __all__ = ["main"]
@@ -157,18 +158,11 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         metrics = local_metrics(model, gammas_from_lambdas(model, lambdas))
         if rng.random() < 0.5:
             metrics = fault_adjust(metrics, FaultModel.uniform_split(rng.uniform(0.0, 0.3)))
-        quality = fusion_quality(metrics, params)
-        h1, h2, h0 = (
-            enumerate_fusion_oracle(metrics, params, conditioning)
-            for conditioning in (Hypothesis.EVENT1, Hypothesis.EVENT2, Hypothesis.NORMAL)
-        )
-        for value, reference in (
-            (quality.q_d1, h1.event1),
-            (quality.q_d2, h2.event2),
-            (quality.q_f, h0.event1 + h0.event2),
-        ):
-            worst = max(worst, abs(value - reference))
-    print(f"checked {3 * ORACLE_TRIALS} quantities over {ORACLE_TRIALS} random scenarios")
+        quality = dataclasses.astuple(fusion_quality(metrics, params))
+        reference = dataclasses.astuple(enumerate_fusion_oracle(metrics, params))
+        worst = max(worst, *(abs(a - b) for a, b in zip(quality, reference)))
+    print(f"checked {4 * ORACLE_TRIALS} quantities (q_d1, q_d2, q_f1, q_f2) over "
+          f"{ORACLE_TRIALS} random scenarios")
     print(f"max |closed-form - enumeration| = {worst:.3e}")
     if worst > ORACLE_TOLERANCE:
         print(f"MISMATCH: exceeds tolerance {ORACLE_TOLERANCE:.1e}", file=sys.stderr)

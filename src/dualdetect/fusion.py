@@ -21,7 +21,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,13 +31,12 @@ from .decision_rules import (
     gammas_from_lambdas,
     local_metrics,
 )
-from .signal_model import CODES, Hypothesis, Priors, SignalModel, elementwise
+from .signal_model import CODES, Priors, SignalModel, elementwise
 
 __all__ = [
     "FusionParams",
     "FaultModel",
     "FusionQuality",
-    "FusionOutcome",
     "quorum_label",
     "fuse_decisions",
     "fusion_quality",
@@ -133,22 +131,18 @@ class FusionQuality:
 
     q_d1 / q_d2: probability the fused decision detects event 1 / 2
     when that event is the truth. q_f1 / q_f2: probability of fusing to
-    event 1 / 2 when the truth is quiet; q_f is their sum.
+    event 1 / 2 when the truth is quiet; :attr:`q_f` is their sum.
     """
 
     q_d1: float | np.ndarray
     q_d2: float | np.ndarray
     q_f1: float | np.ndarray
     q_f2: float | np.ndarray
-    q_f: float | np.ndarray
 
-
-class FusionOutcome(NamedTuple):
-    """Exact fused-decision distribution from the enumeration oracle."""
-
-    event1: float
-    event2: float
-    normal: float
+    @property
+    def q_f(self) -> float | np.ndarray:
+        """Probability of fusing to either event when the truth is quiet."""
+        return self.q_f1 + self.q_f2
 
 
 def quorum_label(
@@ -206,7 +200,7 @@ def fusion_quality(metrics: LocalMetrics, params: FusionParams) -> FusionQuality
     q_d2 = _quorum_tail(metrics.p_d2, metrics.p_m2, params.n, params.k)
     q_f1 = _quorum_tail(metrics.p_f1, metrics.p_f2, params.n, params.k)
     q_f2 = _quorum_tail(metrics.p_f2, metrics.p_f1, params.n, params.k)
-    return FusionQuality(q_d1=q_d1, q_d2=q_d2, q_f1=q_f1, q_f2=q_f2, q_f=q_f1 + q_f2)
+    return FusionQuality(q_d1=q_d1, q_d2=q_d2, q_f1=q_f1, q_f2=q_f2)
 
 
 def fuse_decisions(reported: np.ndarray, neighbors: np.ndarray, k: int) -> np.ndarray:
@@ -221,38 +215,32 @@ def _vote_patterns(n: int) -> np.ndarray:
     return np.array(list(itertools.product(range(3), repeat=n)), dtype=np.int8)
 
 
-def enumerate_fusion_oracle(
-    metrics: LocalMetrics, params: FusionParams, conditioning: Hypothesis
-) -> FusionOutcome:
-    """Exact fused-decision distribution by brute-force enumeration.
+def enumerate_fusion_oracle(metrics: LocalMetrics, params: FusionParams) -> FusionQuality:
+    """Fusion quality of scalar metrics by brute-force enumeration.
 
-    Walks all 3^n vote vectors, scoring each by the product of its
-    per-sensor probabilities under the conditioning hypothesis, and
-    applies the same quorum rule the simulator uses. Independent of the
-    closed-form tail sums on purpose; n is capped to keep the walk
-    tractable.
+    For each truth, walks all 3^n vote vectors, scoring each by the
+    product of its per-sensor probabilities, and applies the same
+    quorum rule the simulator uses. Independent of the closed-form tail
+    sums on purpose: it shares no cell table or metric mapping with
+    :func:`fusion_quality`. n is capped to keep the walk tractable.
     """
     if params.n > MAX_ORACLE_SENSORS:
         raise ValueError(
             f"enumeration oracle supports n <= {MAX_ORACLE_SENSORS}, got {params.n}"
         )
-    if conditioning is Hypothesis.EVENT1:
-        p_plus, p_minus = metrics.p_d1, metrics.p_m1
-    elif conditioning is Hypothesis.EVENT2:
-        p_plus, p_minus = metrics.p_m2, metrics.p_d2
-    else:
-        p_plus, p_minus = metrics.p_f1, metrics.p_f2
-    probs = np.array([p_plus, p_minus, 1.0 - p_plus - p_minus])
-
     patterns = _vote_patterns(params.n)
-    mass = probs[patterns].prod(axis=1)
-    counts = (patterns == 0).sum(axis=1), (patterns == 1).sum(axis=1)
-    labels = quorum_label(*counts, params.k)
-    return FusionOutcome(
-        event1=float(mass[labels == 1].sum()),
-        event2=float(mass[labels == -1].sum()),
-        normal=float(mass[labels == 0].sum()),
-    )
+    labels = quorum_label((patterns == 0).sum(axis=1), (patterns == 1).sum(axis=1), params.k)
+
+    def fused(p_plus: float, p_minus: float) -> tuple[float, float]:
+        """P(fused +1) and P(fused -1) when each vote is +1 or -1 with these odds."""
+        probs = np.array([p_plus, p_minus, 1.0 - p_plus - p_minus])
+        mass = probs[patterns].prod(axis=1)
+        return float(mass[labels == 1].sum()), float(mass[labels == -1].sum())
+
+    q_d1, _ = fused(metrics.p_d1, metrics.p_m1)
+    _, q_d2 = fused(metrics.p_m2, metrics.p_d2)
+    q_f1, q_f2 = fused(metrics.p_f1, metrics.p_f2)
+    return FusionQuality(q_d1=q_d1, q_d2=q_d2, q_f1=q_f1, q_f2=q_f2)
 
 
 def prob_error(priors: Priors, quality: FusionQuality) -> float | np.ndarray:

@@ -196,6 +196,7 @@ def parse_value(key: str, raw: str, where: str) -> object:
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
     """Parse flat ``key = value`` lines into typed values."""
     values: dict[str, object] = {}
+    set_on: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -206,6 +207,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{where}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"{where}: {key} already set on line {set_on[key]}")
+        set_on[key] = lineno
         values[key] = parse_value(key, raw, where)
     return values
 

@@ -191,6 +191,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_text("just some words\n")
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"^t.conf:3: p_f already set on line 1$"):
+            parse_config_text("p_f = 0.12\nseed = 3\np_f = 0.24\n", source="t.conf")
+
     def test_load_config_with_overrides(self, tmp_path):
         conf = tmp_path / "t.conf"
         conf.write_text("sensor_count = 100\nseed = 3\n")
@@ -783,6 +787,18 @@ class TestCli:
         assert code == 1
         assert "MISMATCH" in captured.err
         assert "agreement" not in captured.out
+
+    def test_oracle_check_catches_swapped_false_alarms(self, capsys, monkeypatch):
+        # q_f1 + q_f2 is unchanged by the swap; only a term-by-term check sees it.
+        def swapped(metrics, params):
+            quality = fusion_quality(metrics, params)
+            return replace(quality, q_f1=quality.q_f2, q_f2=quality.q_f1)
+
+        monkeypatch.setattr("dualdetect.cli.fusion_quality", swapped)
+        code = main(["oracle-check", "--n", "5", "--k", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "MISMATCH" in captured.err
 
     @pytest.mark.parametrize("argv", [["--n", "13"], ["--n", "3", "--k", "5"]])
     def test_oracle_check_bad_arguments_exit_two(self, argv, capsys):
