@@ -2,9 +2,10 @@
 
 Usage: python .github/peak_rss.py LIMIT_MIB -- CMD [ARG ...]
 
-Prints the command's wall time and peak RSS, the largest of any process
-it started and waited for, and exits non-zero if the command fails or
-its peak exceeds LIMIT_MIB.
+Prints the command's wall time, peak RSS (the largest of any process it
+started and waited for) and minor page faults (summed over those
+processes), and exits non-zero if the command fails or its peak exceeds
+LIMIT_MIB.
 """
 
 import resource
@@ -20,9 +21,10 @@ def main(argv: list[str]) -> None:
     start = time.perf_counter()
     subprocess.run(argv[2:], check=True)
     wall = time.perf_counter() - start
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
     # ru_maxrss is in KiB on Linux.
-    peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-    print(f"wall {wall:.2f} s, peak RSS {peak:.1f} MiB")
+    peak = usage.ru_maxrss / 1024
+    print(f"wall {wall:.2f} s, peak RSS {peak:.1f} MiB, {usage.ru_minflt} minor faults")
     if peak > limit_mib:
         sys.exit(f"peak RSS {peak:.1f} MiB exceeds {limit_mib:g} MiB")
 

@@ -205,8 +205,15 @@ def fusion_quality(metrics: LocalMetrics, params: FusionParams) -> FusionQuality
 
 def fuse_decisions(reported: np.ndarray, neighbors: np.ndarray, k: int) -> np.ndarray:
     """Modified k-out-of-n fusion of each node's neighborhood votes."""
-    votes = reported[neighbors]
-    return quorum_label((votes == 1).sum(axis=1), (votes == -1).sum(axis=1), k)
+    # One neighbour column at a time: short passes over long arrays, with
+    # no (N, n) gather of the votes.
+    count1 = np.zeros(len(neighbors), dtype=np.intp)
+    count2 = np.zeros(len(neighbors), dtype=np.intp)
+    for column in neighbors.T:
+        votes = reported[column]
+        count1 += votes == 1
+        count2 += votes == -1
+    return quorum_label(count1, count2, k)
 
 
 @lru_cache(maxsize=None)

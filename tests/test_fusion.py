@@ -105,7 +105,6 @@ class TestFusionQuality:
         assert q.q_d2 == pytest.approx(binom.sf(k - 1, n, m.p_d2), abs=1e-12)
         assert q.q_f1 == pytest.approx(binom.sf(k - 1, n, m.p_f1), abs=1e-12)
         assert q.q_f2 == pytest.approx(binom.sf(k - 1, n, m.p_f2), abs=1e-12)
-        assert q.q_f == pytest.approx(q.q_f1 + q.q_f2, abs=1e-15)
 
     def test_oracle_equivalence_smoke(self, rng):
         for _ in range(25):

@@ -2,7 +2,10 @@
 
 import hashlib
 import math
+import platform
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -769,6 +772,32 @@ class TestCli:
         header, rows = read_csv(out)
         assert ",".join(header) == SWEEP_CSV_HEADER
         assert len(rows) == 2
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="sets glibc's malloc thresholds")
+    def test_repeat_sweep_reuses_freed_heap(self, tmp_path):
+        # At glibc's default thresholds the neighbour search's freed
+        # temporaries go back to the kernel and the next chunk faults them
+        # in again: about 1,500 minor faults for the second run, and about
+        # 100 with the thresholds raised. A fresh process, because large
+        # frees earlier in this one may already have raised glibc's
+        # dynamic thresholds.
+        argv = ["sweep", "--param", "sensor_count", "--values", "1000",
+                "--repetitions", "10", "--output", str(tmp_path / "sweep.csv")]
+        script = (
+            "import resource, sys\n"
+            "from dualdetect.cli import main\n"
+            f"argv = {argv!r}\n"
+            "assert main(argv) == 0\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "assert main(argv) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, file=sys.stderr)\n"
+        )
+        completed = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                   text=True, timeout=120)
+        assert completed.returncode == 0, completed.stderr
+        faults = int(completed.stderr.split()[-1])
+        assert faults < 300, f"{faults} minor faults"
 
     def test_oracle_check_exit_zero(self, capsys):
         code = main(["oracle-check"])

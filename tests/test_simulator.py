@@ -21,6 +21,7 @@ from dualdetect import (
 )
 from dualdetect import simulator
 from dualdetect.decision_rules import LikelihoodThresholds
+from dualdetect.fusion import quorum_label
 from dualdetect.simulator import _inject_faults, _nearest_neighbors
 
 RATES = ("local_error_rate", "final_error_rate", "clean_local_error_rate",
@@ -126,6 +127,18 @@ class TestGenerateField:
         assert np.all(field.positions >= 0.0)
         assert np.all(field.positions[:, 0] <= 20.0)
         assert np.all(field.positions[:, 1] <= 20.0)
+
+    def test_positions_match_uniform_draw(self):
+        config = FieldConfig(width=30.0, height=7.5,
+                             event1_region=Rectangle(0.0, 0.0, 10.0, 5.0),
+                             event2_region=Rectangle(20.0, 2.5, 30.0, 7.5))
+        field = generate_field(config, [np.random.default_rng(8), np.random.default_rng(9)])
+        expected = np.concatenate([
+            np.random.default_rng(seed).uniform(
+                low=(0.0, 0.0), high=(config.width, config.height), size=(config.sensor_count, 2))
+            for seed in (8, 9)
+        ])
+        np.testing.assert_array_equal(field.positions, expected)
 
     def test_deterministic(self):
         a = generate_field(FieldConfig(), [np.random.default_rng(11)])
@@ -357,6 +370,16 @@ class TestFuseDecisions:
         assert fuse_decisions(both, neighbors, 1)[0] == 1
         tie = np.array([1, -1, 0, 0], dtype=np.int8)
         assert fuse_decisions(tie, neighbors, 1)[0] == 0
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_gathered_vote_counts(self, n):
+        rng = np.random.default_rng(n)
+        reported = rng.integers(-1, 2, size=500).astype(np.int8)
+        neighbors = rng.integers(0, 500, size=(500, n))
+        votes = reported[neighbors]
+        for k in range(1, n + 1):
+            expected = quorum_label((votes == 1).sum(axis=1), (votes == -1).sum(axis=1), k)
+            np.testing.assert_array_equal(fuse_decisions(reported, neighbors, k), expected)
 
     def test_uses_only_listed_neighbors(self):
         reported = np.array([1, 1, -1, -1, 0, 0], dtype=np.int8)
