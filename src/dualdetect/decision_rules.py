@@ -158,24 +158,22 @@ def local_metrics(model: SignalModel, gammas: ObservationThresholds) -> LocalMet
     The first-event region is the interval [gamma1, gamma3) (empty when
     gamma3 <= gamma1), the second-event region is [max(gamma2, gamma3),
     inf); both are evaluated with the standard normal CDF shifted by
-    the hypothesis mean.
+    the hypothesis mean. ``np.maximum`` returns one of its operands, so
+    the second region's CDF is the one already taken at that operand.
     """
-    cutoff = gammas.event2_cutoff
     nonempty = gammas.gamma3 > gammas.gamma1
+    gamma2_cuts = gammas.gamma2 >= gammas.gamma3
 
-    def first_mass(mean: float) -> float | np.ndarray:
-        inside = normal_cdf(gammas.gamma3 - mean) - normal_cdf(gammas.gamma1 - mean)
+    def masses(mean: float) -> tuple[float | np.ndarray, float | np.ndarray]:
+        """(first-event mass, second-event mass) for one hypothesis mean."""
+        cdf1 = normal_cdf(gammas.gamma1 - mean)
+        cdf2 = normal_cdf(gammas.gamma2 - mean)
+        cdf3 = normal_cdf(gammas.gamma3 - mean)
         # [()] turns where's 0-d result back into a scalar for scalar input.
-        return np.where(nonempty, inside, 0.0)[()]
+        first = np.where(nonempty, cdf3 - cdf1, 0.0)[()]
+        return first, 1.0 - np.where(gamma2_cuts, cdf2, cdf3)[()]
 
-    def second_mass(mean: float) -> float | np.ndarray:
-        return 1.0 - normal_cdf(cutoff - mean)
-
-    return LocalMetrics(
-        p_d1=first_mass(model.m1),
-        p_d2=second_mass(model.m2),
-        p_f1=first_mass(model.m0),
-        p_f2=second_mass(model.m0),
-        p_m1=second_mass(model.m1),
-        p_m2=first_mass(model.m2),
-    )
+    p_f1, p_f2 = masses(model.m0)
+    p_d1, p_m1 = masses(model.m1)
+    p_m2, p_d2 = masses(model.m2)
+    return LocalMetrics(p_d1=p_d1, p_d2=p_d2, p_f1=p_f1, p_f2=p_f2, p_m1=p_m1, p_m2=p_m2)

@@ -48,7 +48,7 @@ __all__ = [
 
 MAX_ORACLE_SENSORS = 12
 
-_pow = elementwise(pow, 2)
+_pow = elementwise(pow)
 
 
 @dataclass(frozen=True)

@@ -277,22 +277,28 @@ def _nearest_neighbors(
     # Past the last ring a row short of n candidates would wait forever.
     if not 1 <= n <= size - (not include_self):
         raise ValueError(f"cannot list {n} neighbours among {size} sensors")
-    lo = positions.min(axis=0)
-    span = positions.max(axis=0) - lo
+    # Per column: a reduction over a strided axis 0 is several times slower.
+    lo = np.array([positions[:, 0].min(), positions[:, 1].min()])
+    span = np.array([positions[:, 0].max(), positions[:, 1].max()]) - lo
     # The second term caps the cells along a thin strip, so there are at
     # most 4.1 * size / n + 1 cells per field; sensors all at one point
     # share one.
     h = max(0.7 * math.sqrt(span[0] * span[1] * n / size),
             span.max() * n / size) or 1.0
     shape = (span // h).astype(np.int64) + 1
-    cell_xy = np.minimum(((positions - lo) // h).astype(np.int64), shape - 1)
+    cell_xy = np.minimum(np.floor((positions - lo) / h).astype(np.int64), shape - 1)
     field_column = np.repeat(np.arange(realizations) * shape[0], size) + cell_xy[:, 0]
     cell = field_column * shape[1] + cell_xy[:, 1]
-    by_cell = np.argsort(cell, kind="stable")
+    cell_count = realizations * shape[0] * shape[1]
+    # The narrowest unsigned key sorts in the same order, and numpy sorts
+    # keys of up to 16 bits by radix.
+    by_cell = np.argsort(cell.astype(np.min_scalar_type(cell_count)), kind="stable")
     slot_cell = cell[by_cell]
-    bounds = np.searchsorted(slot_cell, np.arange(realizations * shape[0] * shape[1] + 1))
-    # Rounding in the floor division can put a sensor past its cell's edge
-    # by a few ulps of the span, and the span is at most size / n cells.
+    bounds = np.searchsorted(slot_cell, np.arange(cell_count + 1))
+    # The subtraction and the division each round, so a quotient just
+    # below a whole number can round up to it: the sensor then sits in
+    # the next cell, past that cell's edge by a few ulps of the span, and
+    # the span is at most size / n cells.
     slack = 1.0 - 1e-14 * (size + 1)
     # Rows and candidates are slots in by_cell order; slot `count` pads
     # candidate lists and its distance is always inf.
@@ -370,8 +376,11 @@ def _settle_chunk(
     ``chunk`` holds row slots and ``cand`` their candidate slots, one
     row each, in the slot order of ``_nearest_neighbors``.
     """
-    d2 = np.square(xs[chunk, None] - xs[cand])
-    d2 += np.square(ys[chunk, None] - ys[cand])
+    # Each coordinate is gathered once, then differenced and squared in place.
+    d2 = xs.take(cand)
+    np.square(np.subtract(xs[chunk, None], d2, out=d2), out=d2)
+    dy = ys.take(cand)
+    d2 += np.square(np.subtract(ys[chunk, None], dy, out=dy), out=dy)
     if not include_self:
         d2[cand == chunk[:, None]] = np.inf
     nth = np.partition(d2, n - 1, axis=1)[:, n - 1]

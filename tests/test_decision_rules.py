@@ -204,6 +204,23 @@ class TestClassification:
         assert codes.tolist() == [_reference_code(x, g1, g2, g3) for x in xs]
 
 
+def _max_cutoff_metrics(model, g):
+    """The six metrics with the second-event mass taken at its cutoff,
+    max(gamma2, gamma3), in one more CDF evaluation."""
+    cutoff = np.maximum(g.gamma2, g.gamma3)
+    nonempty = g.gamma3 > g.gamma1
+
+    def first(mean):
+        inside = normal_cdf(g.gamma3 - mean) - normal_cdf(g.gamma1 - mean)
+        return np.where(nonempty, inside, 0.0)[()]
+
+    def second(mean):
+        return 1.0 - normal_cdf(cutoff - mean)
+
+    return LocalMetrics(p_d1=first(model.m1), p_d2=second(model.m2), p_f1=first(model.m0),
+                        p_f2=second(model.m0), p_m1=second(model.m1), p_m2=first(model.m2))
+
+
 class TestLocalMetrics:
     def test_case1_frozen_example(self, model):
         g = ObservationThresholds(1.5, 3.0, 4.5)
@@ -283,6 +300,35 @@ class TestLocalMetrics:
             for p, frequency in ((p_first, np.mean(codes == 1)), (p_second, np.mean(codes == -1))):
                 se = max(math.sqrt(p * (1.0 - p) / n), 1e-6)
                 assert abs(frequency - p) <= 5.0 * se
+
+    @pytest.mark.parametrize("case", ["scalar", "lattice", "ties", "signed-zeros"])
+    def test_equals_max_cutoff_form_bit_for_bit(self, case):
+        rng = np.random.default_rng(41)
+        model = SignalModel(0.0, 3.0, 6.0)
+        if case == "scalar":
+            g = ObservationThresholds(1.25, 2.5, 4.75)
+        elif case == "lattice":
+            # The optimizer's broadcast: gamma1 varies with lambda1 only,
+            # gamma2 with lambda2 only, gamma3 with both.
+            lambdas = LikelihoodThresholds(np.exp(rng.uniform(-4.0, 4.0, size=(101, 1))),
+                                           np.exp(rng.uniform(-4.0, 4.0, size=(1, 101))))
+            g = gammas_from_lambdas(model, lambdas)
+        elif case == "ties":
+            g2 = rng.uniform(-2.0, 8.0, size=300)
+            g3 = np.where(rng.random(300) < 0.5, g2, rng.uniform(-2.0, 8.0, size=300))
+            g = ObservationThresholds(rng.uniform(-2.0, 8.0, size=300), g2, g3)
+        else:
+            # With m0 = 0 the signs of zero reach normal_cdf unchanged.
+            zeros = np.array([0.0, -0.0])
+            g = ObservationThresholds(zeros[:, None, None], zeros[None, :, None],
+                                      zeros[None, None, :])
+        expected = _max_cutoff_metrics(model, g)
+        metrics = local_metrics(model, g)
+        for name in ("p_d1", "p_d2", "p_f1", "p_f2", "p_m1", "p_m2"):
+            got, want = getattr(metrics, name), getattr(expected, name)
+            assert type(got) is type(want), name
+            assert np.shape(got) == np.shape(want), name
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
 
     def test_validation_rejects_out_of_range(self):
         with pytest.raises(ValueError):

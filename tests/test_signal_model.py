@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from dualdetect import Hypothesis, Priors, SignalModel, normal_cdf
-from dualdetect.signal_model import CODES
+from dualdetect.fusion import _pow
+from dualdetect.signal_model import CODES, elementwise
 
 # Verified against direct quadrature of the standard normal density.
 PHI_1_5 = 0.9331927987311419
@@ -103,3 +104,36 @@ class TestNormalCdf:
         assert phi.shape == z.shape
         expected = [[0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in row] for row in z]
         assert phi.tolist() == expected
+
+
+def _same_bits(result, expected, shape):
+    """``result`` is a float64 array of ``shape`` holding exactly ``expected``."""
+    assert isinstance(result, np.ndarray)
+    assert result.dtype == np.float64
+    assert result.shape == shape
+    assert result.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+
+class TestElementwise:
+    @pytest.mark.parametrize("shape", [(), (4,), (101, 1), (7, 101)])
+    @pytest.mark.parametrize("func", [math.erf, math.log, math.exp])
+    def test_equals_scalar_calls(self, func, shape):
+        x = np.random.default_rng(31).uniform(0.01, 3.0, size=shape)
+        _same_bits(elementwise(func)(x), [func(v) for v in x.ravel().tolist()], shape)
+
+    def test_python_scalar(self):
+        _same_bits(elementwise(math.erf)(0.3), [math.erf(0.3)], ())
+
+    def test_integer_powers_near_the_unit_interval(self):
+        # Votes' probabilities, with the ulps past either end that rounding
+        # can leave, signed zeros and tiny negatives, whose odd powers are
+        # negative.
+        x = np.concatenate([
+            np.random.default_rng(32).uniform(-1e-9, 1.0 + 1e-9, size=200),
+            [0.0, -0.0, -1e-9, -5e-324, 5e-324, 1.0, 1.0 + 1e-9, np.nextafter(1.0, 0.0)],
+        ]).reshape(13, 16)
+        for e in range(13):
+            expected = [pow(v, e) for v in x.ravel().tolist()]
+            _same_bits(_pow(x, e), expected, x.shape)
+            # A numpy exponent still takes Python's integer power.
+            _same_bits(_pow(x, np.int64(e)), expected, x.shape)

@@ -289,6 +289,49 @@ class TestNearestNeighbors:
                 err_msg=f"n={n}",
             )
 
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_wide_cell_ids_match_kd_tree(self, monkeypatch, include_self):
+        # Eight realizations of 10,000 sensors with n = 2 need about 80,000
+        # cells, past the 65,535 a 16-bit sort key holds.
+        min_scalar_type = np.min_scalar_type
+        key_types = []
+
+        def recording(value):
+            key_types.append(min_scalar_type(value))
+            return key_types[-1]
+
+        monkeypatch.setattr(np, "min_scalar_type", recording)
+        rng = np.random.default_rng(24)
+        blocks = [rng.uniform(0.0, 20.0, size=(10_000, 2)) for _ in range(8)]
+        neighbors = _nearest_neighbors(np.vstack(blocks), 2, include_self, len(blocks))
+        assert key_types == [np.dtype(np.uint32)]
+        expected = np.vstack([_kd_tree_neighbors(block, 2, include_self) + r * 10_000
+                              for r, block in enumerate(blocks)])
+        np.testing.assert_array_equal(neighbors, expected)
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_sensors_on_cell_edges(self, include_self):
+        # Sensors at whole multiples of the cell side, and an ulp to either
+        # side, where rounding decides the cell. The corners fix the
+        # bounding box, so the side is the search's own:
+        # 0.7 * sqrt(width * height * n / size), the larger term here.
+        size, extent = 400, 20.0
+        for n in (1, 5, 9):
+            h = 0.7 * math.sqrt(extent * extent * n / size)
+            marks = h * np.arange(int(extent / h) + 1)
+            marks = np.concatenate([marks, np.nextafter(marks, -np.inf),
+                                    np.nextafter(marks, np.inf)])
+            marks = marks[(marks >= 0.0) & (marks <= extent)]
+            grid = np.stack(np.meshgrid(marks, marks), axis=-1).reshape(-1, 2)
+            rng = np.random.default_rng(25 + n)
+            edge = grid[rng.choice(len(grid), size - 2, replace=False)]
+            positions = np.vstack([[0.0, 0.0], [extent, extent], edge])
+            np.testing.assert_array_equal(
+                _nearest_neighbors(positions, n, include_self),
+                _oracle_neighbors(positions, n, include_self),
+                err_msg=f"n={n}",
+            )
+
     def test_unequal_stack_raises(self):
         positions = np.random.default_rng(9).uniform(0.0, 1.0, size=(7, 2))
         with pytest.raises(ValueError, match="equal fields"):
