@@ -46,7 +46,7 @@ _log = elementwise(math.log)
 
 def _require(ok: np.ndarray, value: np.ndarray, message: str) -> None:
     """Raise ValueError quoting the first entry of ``value`` where ``ok`` fails."""
-    if not np.all(ok):
+    if not ok.all():
         bad = np.asarray(value)[~ok][0].item()
         raise ValueError(f"{message}, got {bad!r}")
 

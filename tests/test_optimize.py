@@ -1,16 +1,22 @@
 """Threshold search: reproduction targets, determinism, edge cases."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualdetect import (
     FaultModel,
+    FusionParams,
     LikelihoodThresholds,
+    OptimizationResult,
     Priors,
+    SignalModel,
     fusion_quality,
     gammas_from_lambdas,
+    load_config,
     local_metrics,
     minimize_error,
     optimize,
@@ -18,10 +24,97 @@ from dualdetect import (
     prob_error_faulty,
 )
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# The (n, k) pairs CI's oracle-check step runs.
+ORACLE_PAIRS = [(4, 2), (5, 3), (6, 3), (7, 3), (8, 5), (5, 1), (5, 5), (12, 6)]
+ONE_HOT_PRIORS = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+
 
 def _objective(model, priors, params, lambdas):
     gammas = gammas_from_lambdas(model, lambdas)
     return prob_error(priors, fusion_quality(local_metrics(model, gammas), params))
+
+
+def _exp(x):
+    """math.exp of every entry, as the search takes it."""
+    x = np.asarray(x)
+    return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _axis():
+    lo, hi = optimize.LOG_BOUNDS
+    points = optimize.GRID_POINTS
+    return [lo + (hi - lo) * i / (points - 1) for i in range(points)]
+
+
+def _lattice():
+    """The search's lattice of likelihood thresholds, rows over lambda1."""
+    column = np.array(_axis())
+    return LikelihoodThresholds(_exp(column[:, None]), _exp(column[None, :]))
+
+
+def reference_search(model, priors, params, faults=None):
+    """The search without the screen: the exact objective on the whole
+    lattice, its first row-major argmin, then the compass search."""
+    lo, hi = optimize.LOG_BOUNDS
+    evaluations = 0
+
+    def objective(log1, log2):
+        nonlocal evaluations
+        lambdas = LikelihoodThresholds(_exp(log1), _exp(log2))
+        values = prob_error_faulty(model, priors, lambdas, params, faults)
+        evaluations += values.size
+        return values
+
+    axis = _axis()
+    column = np.array(axis)
+    grid = objective(column[:, None], column[None, :])
+    best_i, best_j = np.unravel_index(np.argmin(grid), grid.shape)
+    best_u, best_v = axis[best_i], axis[best_j]
+    best_f = float(grid[best_i, best_j])
+    refine_used = 0
+    step = optimize.INITIAL_STEP
+    while step >= optimize.MIN_STEP and refine_used + 4 <= optimize.MAX_REFINE_EVALUATIONS:
+        candidates = [
+            (min(max(u, lo), hi), min(max(v, lo), hi))
+            for u, v in ((best_u + step, best_v), (best_u - step, best_v),
+                         (best_u, best_v + step), (best_u, best_v - step))
+        ]
+        us, vs = np.array(candidates).T
+        values = objective(us, vs).tolist()
+        refine_used += 4
+        move = None
+        for candidate, f in zip(candidates, values):
+            if f < best_f:
+                best_f, move = f, candidate
+        if move is None:
+            step /= 2.0
+        else:
+            best_u, best_v = move
+    return OptimizationResult(math.exp(best_u), math.exp(best_v), best_f,
+                              evaluations, step < optimize.MIN_STEP)
+
+
+def _bits(result):
+    """The five result fields, floats as their exact bit patterns."""
+    return (result.lambda1.hex(), result.lambda2.hex(), result.objective_value.hex(),
+            result.evaluations, result.converged)
+
+
+def _objectives():
+    """(id, model, priors, params, faults) of every objective the screen tests cover."""
+    cases = []
+    for name in ("experiment1", "experiment2"):
+        cases.append((name, *load_config(CONFIGS / f"{name}.conf").objective()))
+    model, params = SignalModel(0.0, 3.0, 6.0), FusionParams(5, 3)
+    for prior in ONE_HOT_PRIORS:
+        cases.append((f"one-hot-{prior}", model, Priors(*prior), params, None))
+    priors = Priors(0.59, 0.25, 0.16)
+    for n, k in ORACLE_PAIRS:
+        for faults in (None, FaultModel.uniform_split(0.12)):
+            cases.append((f"n{n}-k{k}-{'faulty' if faults else 'clean'}",
+                          model, priors, FusionParams(n, k), faults))
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
 
 
 class TestReferenceOptima:
@@ -98,7 +191,7 @@ class TestSearchBehavior:
         # Two equal wells beside the lattice optimum (0, 0): the first
         # compass round that improves finds the +u and +v moves tied, and
         # the first listed (+u) must win.
-        def two_wells(model, priors, lambdas, params, faults):
+        def two_wells(model, priors, lambdas, params, faults, *, power):
             u, v = np.log(lambdas.lambda1), np.log(lambdas.lambda2)
             return np.minimum((u - 0.04) ** 2 + v**2, u**2 + (v - 0.04) ** 2)
 
@@ -120,3 +213,49 @@ class TestSearchBehavior:
         balanced = minimize_error(model, Priors(0.5, 0.25, 0.25), params)
         assert skewed.lambda1 > balanced.lambda1
         assert skewed.lambda2 > balanced.lambda2
+
+
+class TestScreenedLattice:
+    """The screened lattice picks the full exact lattice's point, bit for bit."""
+
+    @pytest.mark.parametrize("model, priors, params, faults", _objectives())
+    def test_equals_reference_search(self, model, priors, params, faults):
+        expected = reference_search(model, priors, params, faults)
+        assert _bits(minimize_error(model, priors, params, faults)) == _bits(expected)
+
+    @pytest.mark.parametrize("model, priors, params, faults", _objectives())
+    def test_screen_error_far_below_margin(self, model, priors, params, faults):
+        lattice = _lattice()
+        exact = prob_error_faulty(model, priors, lattice, params, faults)
+        screen = prob_error_faulty(model, priors, lattice, params, faults, power=np.power)
+        assert np.max(np.abs(screen - exact)) < optimize.SCREEN_MARGIN / 100
+
+    @given(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+        st.floats(0.25, 4.0),
+        st.floats(0.25, 4.0),
+        st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+        st.one_of(st.none(), st.floats(0.0, 0.5)),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_property_equals_reference_search(self, cuts, gap1, gap2, quorum, p_f):
+        model = SignalModel(0.0, gap1, gap1 + gap2)
+        priors = Priors(cuts[0], cuts[1] - cuts[0], 1.0 - cuts[1])
+        params = FusionParams(*quorum)
+        faults = None if p_f is None else FaultModel.uniform_split(p_f)
+        expected = reference_search(model, priors, params, faults)
+        assert _bits(minimize_error(model, priors, params, faults)) == _bits(expected)
+
+    # The screen is NaN around its own minimum (and, in the second case,
+    # everywhere): those points must be re-scored, or the basin is lost.
+    @pytest.mark.parametrize("spread", [1e-3, math.inf])
+    def test_nan_screen_points_are_rescored(self, model, priors, params, monkeypatch, spread):
+        def nan_screen(*args, power):
+            values = prob_error_faulty(*args, power=power)
+            if power is np.power:
+                values = np.where(values <= values.min() + spread, np.nan, values)
+            return values
+
+        expected = reference_search(model, priors, params)
+        monkeypatch.setattr(optimize, "prob_error_faulty", nan_screen)
+        assert _bits(minimize_error(model, priors, params)) == _bits(expected)
