@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -32,7 +31,7 @@ from .decision_rules import (
     gammas_from_lambdas,
     local_metrics,
 )
-from .signal_model import CODES, Priors, SignalModel, elementwise
+from .signal_model import CODES, Priors, SignalModel
 
 __all__ = [
     "FusionParams",
@@ -48,8 +47,6 @@ __all__ = [
 ]
 
 MAX_ORACLE_SENSORS = 12
-
-_pow = elementwise(pow)
 
 
 @dataclass(frozen=True)
@@ -160,11 +157,16 @@ def quorum_label(
     return np.where(quorum, np.sign(count1 - count2), 0).astype(np.int8)
 
 
-def _powers(
-    x: float | np.ndarray, exponents: set[int], power: Callable = _pow
-) -> dict[int, float | np.ndarray]:
-    """``{e: power(x, e)}``; the default rounds as Python's float power does."""
-    return {e: 1.0 if e == 0 else x if e == 1 else power(x, e) for e in exponents}
+def _powers(x: float | np.ndarray, top: int) -> list[float | np.ndarray]:
+    """``[x**0, ..., x**top]``, each power the one before times x.
+
+    IEEE 754 rounds every product correctly, so an array's powers equal
+    those of its entries as Python floats, bit for bit.
+    """
+    chain = [1.0]
+    for _ in range(top):
+        chain.append(chain[-1] * x)
+    return chain
 
 
 @lru_cache(maxsize=None)
@@ -178,12 +180,7 @@ def _primary_cells(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
 
 
 def _quorum_tail(
-    primary: float | np.ndarray,
-    secondary: float | np.ndarray,
-    n: int,
-    k: int,
-    *,
-    power: Callable = _pow,
+    primary: float | np.ndarray, secondary: float | np.ndarray, n: int, k: int
 ) -> float | np.ndarray:
     """P(the fused label is the primary event) for i.i.d. ternary votes.
 
@@ -191,28 +188,24 @@ def _quorum_tail(
     votes (inner) and n - i - j abstentions, on the cells where
     :func:`quorum_label` declares the primary event. Each power is
     computed once per call and the terms are added in cell order.
-    ``power(x, e)`` raises an array to an integer power; ``np.power``
-    is faster and within a few ulps of the default.
     """
     cells = _primary_cells(n, k)
-    p = _powers(primary, {i for i, _, _ in cells}, power)
-    s = _powers(secondary, {j for _, j, _ in cells}, power)
-    r = _powers(1.0 - primary - secondary, {n - i - j for i, j, _ in cells}, power)
+    p = _powers(primary, n)
+    s = _powers(secondary, max(j for _, j, _ in cells))
+    r = _powers(1.0 - primary - secondary, max(n - i - j for i, j, _ in cells))
     total = 0.0
     for i, j, coefficient in cells:
         total += coefficient * p[i] * s[j] * r[n - i - j]
     return total
 
 
-def fusion_quality(
-    metrics: LocalMetrics, params: FusionParams, *, power: Callable = _pow
-) -> FusionQuality:
+def fusion_quality(metrics: LocalMetrics, params: FusionParams) -> FusionQuality:
     """Closed-form quorum probabilities from per-sensor metrics."""
     n, k = params.n, params.k
-    q_d1 = _quorum_tail(metrics.p_d1, metrics.p_m1, n, k, power=power)
-    q_d2 = _quorum_tail(metrics.p_d2, metrics.p_m2, n, k, power=power)
-    q_f1 = _quorum_tail(metrics.p_f1, metrics.p_f2, n, k, power=power)
-    q_f2 = _quorum_tail(metrics.p_f2, metrics.p_f1, n, k, power=power)
+    q_d1 = _quorum_tail(metrics.p_d1, metrics.p_m1, n, k)
+    q_d2 = _quorum_tail(metrics.p_d2, metrics.p_m2, n, k)
+    q_f1 = _quorum_tail(metrics.p_f1, metrics.p_f2, n, k)
+    q_f2 = _quorum_tail(metrics.p_f2, metrics.p_f1, n, k)
     return FusionQuality(q_d1=q_d1, q_d2=q_d2, q_f1=q_f1, q_f2=q_f2)
 
 
@@ -304,8 +297,6 @@ def prob_error_faulty(
     lambdas: LikelihoodThresholds,
     params: FusionParams,
     faults: FaultModel | None,
-    *,
-    power: Callable = _pow,
 ) -> float | np.ndarray:
     """Bayes error of the fused decision, with faulty sensors if given.
 
@@ -313,10 +304,9 @@ def prob_error_faulty(
     fault adjustment -> quorum probabilities -> Bayes error. With
     ``faults=None`` the fault adjustment is skipped; an all-zero fault
     model gives the same error, only slower. Array thresholds give an
-    array of errors, one per entry. ``power`` is the quorum tails'
-    integer power (see :func:`_quorum_tail`).
+    array of errors, one per entry.
     """
     metrics = local_metrics(model, gammas_from_lambdas(model, lambdas))
     if faults is not None:
         metrics = fault_adjust(metrics, faults)
-    return prob_error(priors, fusion_quality(metrics, params, power=power))
+    return prob_error(priors, fusion_quality(metrics, params))

@@ -7,39 +7,29 @@ that shrinks its step until the requested resolution. Both stages are
 fully deterministic, and both are scored in array calls of the closed
 form: the whole lattice in one call, each compass round's four
 candidates in one call.
-
-The lattice is scored twice, filter then verify: a screen whose quorum
-tails use ``np.power``, then the exact objective (Python's ``pow``) on
-the few points whose screened value lies within SCREEN_MARGIN of the
-screened minimum. The two differ by a few ulps of a sum of at most one,
-far below the margin, so the exact minimum is always re-scored and the
-result is that of the full exact lattice, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .decision_rules import LikelihoodThresholds
-from .fusion import FaultModel, FusionParams, _pow, prob_error_faulty
+from .fusion import FaultModel, FusionParams, prob_error_faulty
 from .signal_model import Priors, SignalModel, elementwise
 
 __all__ = ["OptimizationResult", "minimize_error"]
 
 # Search settings: a GRID_POINTS x GRID_POINTS lattice over LOG_BOUNDS in
 # (ln lambda1, ln lambda2), then compass steps from INITIAL_STEP down to
-# MIN_STEP within MAX_REFINE_EVALUATIONS objective calls. Lattice points
-# screened within SCREEN_MARGIN of the screened minimum are re-scored.
+# MIN_STEP within MAX_REFINE_EVALUATIONS objective calls.
 LOG_BOUNDS = (-5.0, 5.0)
 GRID_POINTS = 101
 INITIAL_STEP = 0.1
 MIN_STEP = 1e-6
 MAX_REFINE_EVALUATIONS = 10_000
-SCREEN_MARGIN = 1e-12
 
 _exp = elementwise(math.exp)
 
@@ -51,7 +41,6 @@ class OptimizationResult:
     converged is False when the pattern search exhausted its evaluation
     budget before reaching the minimum step; the best point found so
     far is still reported. evaluations counts each lattice point once
-    (the exact re-scoring of the screen's few survivors is not counted)
     plus four per compass round.
     """
 
@@ -74,37 +63,29 @@ def minimize_error(
 ) -> OptimizationResult:
     """Minimize the (optionally fault-adjusted) fused Bayes error.
 
-    Stage 1 evaluates the lattice, screened and then re-scored exactly
-    near its minimum; ties prefer the smallest (ln lambda1, ln lambda2)
-    pair. Stage 2 runs a compass pattern search from the best lattice
-    point, halving the step whenever no axis move improves, until the
-    step drops below MIN_STEP or the refinement evaluation budget is
-    spent.
+    Stage 1 evaluates the lattice; ties prefer the smallest
+    (ln lambda1, ln lambda2) pair. Stage 2 runs a compass pattern search
+    from the best lattice point, halving the step whenever no axis move
+    improves, until the step drops below MIN_STEP or the refinement
+    evaluation budget is spent.
     """
     lo, hi = LOG_BOUNDS
 
-    def objective(
-        log1: np.ndarray, log2: np.ndarray, power: Callable = _pow
-    ) -> np.ndarray:
+    def objective(log1: np.ndarray, log2: np.ndarray) -> np.ndarray:
         """Pe at every broadcast (ln lambda1, ln lambda2) pair."""
         lambdas = LikelihoodThresholds(_exp(log1), _exp(log2))
-        return prob_error_faulty(model, priors, lambdas, params, faults, power=power)
+        return prob_error_faulty(model, priors, lambdas, params, faults)
 
     # Stage 1: coarse lattice, rows over ln lambda1 and columns over
-    # ln lambda2. The first row-major exact argmin is the smallest-(u, v)
-    # tie break; np.nonzero lists the re-scored points in that order,
-    # those not finite in the screen included.
+    # ln lambda2. The first row-major argmin is the smallest-(u, v) tie
+    # break.
     span = hi - lo
     axis = [lo + span * i / (GRID_POINTS - 1) for i in range(GRID_POINTS)]
     column = np.array(axis)
-    screen = objective(column[:, None], column[None, :], np.power)
-    finite = np.isfinite(screen)
-    cutoff = screen[finite].min(initial=np.inf) + SCREEN_MARGIN
-    rows, cols = np.nonzero(~finite | (screen <= cutoff))
-    exact = objective(column[rows], column[cols])
-    best = np.argmin(exact)
-    best_u, best_v = axis[rows[best]], axis[cols[best]]
-    best_f = float(exact[best])
+    lattice = objective(column[:, None], column[None, :])
+    row, col = divmod(int(np.argmin(lattice)), GRID_POINTS)
+    best_u, best_v = axis[row], axis[col]
+    best_f = float(lattice[row, col])
 
     # Stage 2: compass search, clamped to the lattice bounds. The lowest
     # of the four candidates moves the centre if it beats it; ties go to
@@ -137,6 +118,6 @@ def minimize_error(
         lambda1=math.exp(best_u),
         lambda2=math.exp(best_v),
         objective_value=best_f,
-        evaluations=screen.size + refine_used,
+        evaluations=lattice.size + refine_used,
         converged=step < MIN_STEP,
     )

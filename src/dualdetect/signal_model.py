@@ -11,7 +11,6 @@ is stronger than the quiet background.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -101,22 +100,18 @@ class Priors:
             raise ValueError(f"priors must sum to 1 within {_PRIOR_SUM_TOL}, got {total!r}")
 
 
-def elementwise(func: Callable[..., float]) -> Callable[..., np.ndarray]:
+def elementwise(func: Callable[[float], float]) -> Callable[[object], np.ndarray]:
     """Map a scalar ``math`` function over an array, returning float64.
 
-    numpy's own float64 log, exp and power kernels may round the last
-    bit differently from the C library, and differently from one CPU to
-    the next. Calling the library function on each element keeps every
-    array entry equal to the scalar computation. Arguments after the
-    first are scalars, the same in every call. ``tolist`` and ``item``
-    hand ``func`` Python numbers, so ``pow`` with a numpy integer
-    exponent still takes Python's integer-power path.
+    numpy's own float64 log and exp kernels may round the last bit
+    differently from the C library, and differently from one CPU to the
+    next. Calling the library function on each element keeps every
+    array entry equal to the scalar computation.
     """
 
-    def apply(x: object, *scalars: object) -> np.ndarray:
+    def apply(x: object) -> np.ndarray:
         x = np.asarray(x)
-        repeated = [itertools.repeat(np.asarray(s).item()) for s in scalars]
-        values = map(func, x.ravel().tolist(), *repeated)
+        values = map(func, x.ravel().tolist())
         return np.fromiter(values, np.float64, x.size).reshape(x.shape)
 
     return apply

@@ -270,7 +270,11 @@ class TestArrayForm:
 
     @pytest.mark.parametrize("n, k", [(5, 3), (4, 2), (6, 3), (8, 5), (5, 1), (5, 5), (7, 2)])
     def test_tail_equals_python_float_loop(self, n, k):
-        # Reference: the trinomial sum in Python floats, term by term.
+        # Reference: the trinomial sum in Python floats, term by term,
+        # each power a left-to-right chain of products.
+        def power(x, e):
+            return math.prod([x] * e, start=1.0)
+
         def reference(primary, secondary):
             rest = 1.0 - primary - secondary
             total = 0.0
@@ -279,7 +283,8 @@ class TestArrayForm:
                     if j >= k and j >= i:
                         continue
                     total += (math.comb(n, i) * math.comb(n - i, j)
-                              * primary**i * secondary**j * rest ** (n - i - j))
+                              * power(primary, i) * power(secondary, j)
+                              * power(rest, n - i - j))
             return total
 
         a, b, _ = np.random.default_rng(3).dirichlet([1.0, 1.0, 1.0], size=300).T

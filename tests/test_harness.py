@@ -69,14 +69,14 @@ GOLDEN_SIMULATE_DIGESTS = {
         "final_decisions_faulty.csv": "501c9b560af2a5ca62f9ed3d03450ee4b952ad51a3fc4030719653af2790812d",
         "local_decisions.csv": "ec2ce5ab9cd95c9e9e929dcebb4d46de8ef07d8e465c6295296ea2eb44222342",
         "local_decisions_faulty.csv": "a71278f4e60541d5df181d85de27d7647f92aa0a9f511912bbe15d8d099a9d80",
-        "summary.csv": "714f6cf6da58be0decbeb382e468a0d05d6682252d0e2f3a864058718361a717",
+        "summary.csv": "94def6dfe2dd343674750204107810939f39036d6134831c8c22c98311b0813e",
     },
     "alpha-table": {
         "final_decisions.csv": "0ce67c8bf516756b3ba08c0b2fceb7ee19a03d1f6b332d7ae34cf02373eb0fa5",
         "final_decisions_faulty.csv": "ebcb175584207440e0a9a5be01b0b61e6e2d0900df0aae789013cb175279c7a8",
         "local_decisions.csv": "ec2ce5ab9cd95c9e9e929dcebb4d46de8ef07d8e465c6295296ea2eb44222342",
         "local_decisions_faulty.csv": "3643e5f3cf01709e4e891e87c4af7d6bd3a7e795972497897218a44afce9635a",
-        "summary.csv": "9656abc6319aa79e8b97e6bd44075dc919a1ed3aaaed9a5c9d179bdf593eb04a",
+        "summary.csv": "88fd495c97aac5744935709057746aaa1481487993c839eba406011ec9db1e34",
     },
 }
 
@@ -85,8 +85,8 @@ GOLDEN_SIMULATE_DIGESTS = {
 # flags. Together they reach every sweep parameter, both fault modes and
 # the fixed-threshold path, which searches nothing.
 GOLDEN_OPTIMIZE_DIGESTS = {
-    "experiment1.conf": "b31cc4b98c3387d8febb7f93c6cef67a391ef4a50096866a3fb775bafb15fa83",
-    "experiment2.conf": "78ae9761cb84104dff0ded7b95bc381aaa1fbac784765441d9928e6c81e99400",
+    "experiment1.conf": "827e9dc0b1f986980be64273fb08e8f64645cb1d4f69e9e1ac1ebfcaddba9f76",
+    "experiment2.conf": "21d506de8bd7e4380775c78b6f6c369adb69d371a82b18a886daf434869d8be2",
 }
 GOLDEN_SWEEP_DIGESTS = {
     ("sensor_count", "200,400", ()):

@@ -47,15 +47,9 @@ def _axis():
     return [lo + (hi - lo) * i / (points - 1) for i in range(points)]
 
 
-def _lattice():
-    """The search's lattice of likelihood thresholds, rows over lambda1."""
-    column = np.array(_axis())
-    return LikelihoodThresholds(_exp(column[:, None]), _exp(column[None, :]))
-
-
 def reference_search(model, priors, params, faults=None):
-    """The search without the screen: the exact objective on the whole
-    lattice, its first row-major argmin, then the compass search."""
+    """The search restated: the objective on the whole lattice, its first
+    row-major argmin, then the compass search."""
     lo, hi = optimize.LOG_BOUNDS
     evaluations = 0
 
@@ -102,7 +96,7 @@ def _bits(result):
 
 
 def _objectives():
-    """(id, model, priors, params, faults) of every objective the screen tests cover."""
+    """(id, model, priors, params, faults) of every objective the search tests cover."""
     cases = []
     for name in ("experiment1", "experiment2"):
         cases.append((name, *load_config(CONFIGS / f"{name}.conf").objective()))
@@ -191,7 +185,7 @@ class TestSearchBehavior:
         # Two equal wells beside the lattice optimum (0, 0): the first
         # compass round that improves finds the +u and +v moves tied, and
         # the first listed (+u) must win.
-        def two_wells(model, priors, lambdas, params, faults, *, power):
+        def two_wells(model, priors, lambdas, params, faults):
             u, v = np.log(lambdas.lambda1), np.log(lambdas.lambda2)
             return np.minimum((u - 0.04) ** 2 + v**2, u**2 + (v - 0.04) ** 2)
 
@@ -216,19 +210,12 @@ class TestSearchBehavior:
 
 
 class TestScreenedLattice:
-    """The screened lattice picks the full exact lattice's point, bit for bit."""
+    """The search equals its restatement, :func:`reference_search`, bit for bit."""
 
     @pytest.mark.parametrize("model, priors, params, faults", _objectives())
     def test_equals_reference_search(self, model, priors, params, faults):
         expected = reference_search(model, priors, params, faults)
         assert _bits(minimize_error(model, priors, params, faults)) == _bits(expected)
-
-    @pytest.mark.parametrize("model, priors, params, faults", _objectives())
-    def test_screen_error_far_below_margin(self, model, priors, params, faults):
-        lattice = _lattice()
-        exact = prob_error_faulty(model, priors, lattice, params, faults)
-        screen = prob_error_faulty(model, priors, lattice, params, faults, power=np.power)
-        assert np.max(np.abs(screen - exact)) < optimize.SCREEN_MARGIN / 100
 
     @given(
         st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
@@ -245,17 +232,3 @@ class TestScreenedLattice:
         faults = None if p_f is None else FaultModel.uniform_split(p_f)
         expected = reference_search(model, priors, params, faults)
         assert _bits(minimize_error(model, priors, params, faults)) == _bits(expected)
-
-    # The screen is NaN around its own minimum (and, in the second case,
-    # everywhere): those points must be re-scored, or the basin is lost.
-    @pytest.mark.parametrize("spread", [1e-3, math.inf])
-    def test_nan_screen_points_are_rescored(self, model, priors, params, monkeypatch, spread):
-        def nan_screen(*args, power):
-            values = prob_error_faulty(*args, power=power)
-            if power is np.power:
-                values = np.where(values <= values.min() + spread, np.nan, values)
-            return values
-
-        expected = reference_search(model, priors, params)
-        monkeypatch.setattr(optimize, "prob_error_faulty", nan_screen)
-        assert _bits(minimize_error(model, priors, params)) == _bits(expected)

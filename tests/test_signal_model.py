@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from dualdetect import Hypothesis, Priors, SignalModel, normal_cdf
-from dualdetect.fusion import _pow
+from dualdetect.fusion import _powers
 from dualdetect.signal_model import CODES, elementwise
 
 # Verified against direct quadrature of the standard normal density.
@@ -132,8 +132,9 @@ class TestElementwise:
             np.random.default_rng(32).uniform(-1e-9, 1.0 + 1e-9, size=200),
             [0.0, -0.0, -1e-9, -5e-324, 5e-324, 1.0, 1.0 + 1e-9, np.nextafter(1.0, 0.0)],
         ]).reshape(13, 16)
-        for e in range(13):
-            expected = [pow(v, e) for v in x.ravel().tolist()]
-            _same_bits(_pow(x, e), expected, x.shape)
-            # A numpy exponent still takes Python's integer power.
-            _same_bits(_pow(x, np.int64(e)), expected, x.shape)
+        powers = _powers(x, 12)
+        chains = [_powers(v, 12) for v in x.ravel().tolist()]
+        # x**0 is the scalar 1.0 for arrays and floats alike; it broadcasts.
+        assert powers[0] == 1.0 and all(chain[0] == 1.0 for chain in chains)
+        for e in range(1, 13):
+            _same_bits(powers[e], [chain[e] for chain in chains], x.shape)
