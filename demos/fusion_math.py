@@ -49,7 +49,7 @@ def main():
 
     # a fault scrambles the report before it leaves the sensor
     faults = FaultModel.uniform_split(0.12)
-    adjusted = fault_adjust(metrics, faults)
+    adjusted = fault_adjust(metrics, faults.matrix)
     degraded = fusion_quality(adjusted, params)
     print("after a 0.12 reporting-fault probability, split evenly:")
     print("  q_d1 %.6f -> %.6f" % (quality.q_d1, degraded.q_d1))

@@ -41,21 +41,22 @@ def main():
         print("  %6.2f -> %s" % (x, label))
     print()
 
-    metrics = local_metrics(model, gammas)
+    # d[t, c]: P(report CODES[c] | truth CODES[t]), codes ordered (0, +1, -1)
+    d = local_metrics(model, gammas).matrix
     print("closed-form per-sensor terms:")
-    print("  p_d1=%.6f p_d2=%.6f" % (metrics.p_d1, metrics.p_d2))
-    print("  p_f1=%.6f p_f2=%.6f" % (metrics.p_f1, metrics.p_f2))
-    print("  p_m1=%.6f p_m2=%.6f" % (metrics.p_m1, metrics.p_m2))
+    print("  p_d1=%.6f p_d2=%.6f" % (d[1, 1], d[2, 2]))
+    print("  p_f1=%.6f p_f2=%.6f" % (d[0, 1], d[0, 2]))
+    print("  p_m1=%.6f p_m2=%.6f" % (d[1, 2], d[2, 1]))
     print()
 
     rng = np.random.default_rng(7)
     draws = 200_000
     print("Monte Carlo check with %d draws per hypothesis:" % draws)
     for truth, mean, name, want in (
-        (Hypothesis.EVENT1, model.m1, "P(report +1 | event 1)", metrics.p_d1),
-        (Hypothesis.EVENT2, model.m2, "P(report -1 | event 2)", metrics.p_d2),
-        (Hypothesis.NORMAL, model.m0, "P(report +1 | normal) ", metrics.p_f1),
-        (Hypothesis.NORMAL, model.m0, "P(report -1 | normal) ", metrics.p_f2),
+        (Hypothesis.EVENT1, model.m1, "P(report +1 | event 1)", d[1, 1]),
+        (Hypothesis.EVENT2, model.m2, "P(report -1 | event 2)", d[2, 2]),
+        (Hypothesis.NORMAL, model.m0, "P(report +1 | normal) ", d[0, 1]),
+        (Hypothesis.NORMAL, model.m0, "P(report -1 | normal) ", d[0, 2]),
     ):
         x = rng.normal(mean, 1.0, size=draws)
         u = classify_observations(x, gammas)

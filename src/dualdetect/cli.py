@@ -87,12 +87,6 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="FILE", help="flat key = value config file")
-    for key in CONFIG_KEYS:
-        parser.add_argument(_flag(key), default=None, dest=key, **_FLAG_OPTIONS.get(key, {}))
-
-
 def _collect_overrides(args: argparse.Namespace) -> dict[str, object]:
     return {
         key: parse_value(key, raw, _flag(key))
@@ -172,7 +166,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         )
         metrics = local_metrics(model, gammas_from_lambdas(model, lambdas))
         if rng.random() < 0.5:
-            metrics = fault_adjust(metrics, FaultModel.uniform_split(rng.uniform(0.0, 0.3)))
+            metrics = fault_adjust(metrics, FaultModel.uniform_split(rng.uniform(0.0, 0.3)).matrix)
         quality = dataclasses.astuple(fusion_quality(metrics, params))
         reference = dataclasses.astuple(enumerate_fusion_oracle(metrics, params))
         worst = max(worst, *(abs(a - b) for a, b in zip(quality, reference)))
@@ -192,18 +186,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Fault-tolerant fusion of ternary sensor decisions for two concurrent events",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The config options, declared once and shared by optimize, simulate and sweep.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", metavar="FILE", help="flat key = value config file")
+    for key in CONFIG_KEYS:
+        shared.add_argument(_flag(key), default=None, dest=key, **_FLAG_OPTIONS.get(key, {}))
 
-    p_opt = sub.add_parser("optimize", help="search likelihood-ratio thresholds")
-    _add_config_arguments(p_opt)
+    p_opt = sub.add_parser("optimize", help="search likelihood-ratio thresholds", parents=[shared])
     p_opt.set_defaults(func=_cmd_optimize)
 
-    p_sim = sub.add_parser("simulate", help="run one seeded field realization")
-    _add_config_arguments(p_sim)
+    p_sim = sub.add_parser("simulate", help="run one seeded field realization", parents=[shared])
     p_sim.add_argument("--output-dir", default="runs", help="directory for CSV artifacts")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_sweep = sub.add_parser("sweep", help="average error rates across one parameter")
-    _add_config_arguments(p_sweep)
+    p_sweep = sub.add_parser(
+        "sweep", help="average error rates across one parameter", parents=[shared],
+    )
     p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     p_sweep.add_argument(
         "--values", required=True,

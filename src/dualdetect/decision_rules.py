@@ -17,8 +17,9 @@ which covers every ordering of the three thresholds, including the
 degenerate ones where the first-event interval is empty.
 
 The closed form works elementwise: the likelihood levels may be scalars
-or arrays of one broadcast shape, and every threshold and metric then
-has that shape. Validation holds for every entry.
+or arrays of one broadcast shape S. Every threshold then has shape S,
+and the metrics' decision matrix has shape (3, 3, *S). Validation
+holds for every entry.
 """
 
 from __future__ import annotations
@@ -123,57 +124,62 @@ def classify_observations(x: np.ndarray, gammas: ObservationThresholds) -> np.nd
     return codes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalMetrics:
-    """Per-sensor decision quality under each hypothesis.
+    """Per-sensor report law under each truth, as one decision matrix.
 
-    p_d1 / p_d2 are the detection probabilities of the two events,
-    p_m1 / p_m2 the cross-event confusions (declaring the other event),
-    p_f1 / p_f2 the false alarms from the quiet state. Each probability
-    lies in [0, 1] and the per-hypothesis pairs cannot exceed one
-    combined, since they are masses of disjoint decision regions. The
-    fields may be arrays; every entry is checked.
+    ``matrix[t, c]`` is P(report ``CODES[c]`` | truth ``CODES[t]``),
+    codes ordered (0, +1, -1) as in ``FaultModel.matrix``; in the
+    paper's notation, with · the quiet report:
+        row 0, truth quiet   : (·, p_f1, p_f2)
+        row 1, truth event 1 : (·, p_d1, p_m1)
+        row 2, truth event 2 : (·, p_m2, p_d2)
+
+    Thresholds of broadcast shape S give shape (3, 3, *S). Each event
+    entry lies in [0, 1] and a row's two cannot exceed one combined,
+    since they are masses of disjoint decision regions; every entry is
+    checked. Compare two metrics with ``np.array_equal`` on ``matrix``.
     """
 
-    p_d1: float | np.ndarray
-    p_d2: float | np.ndarray
-    p_f1: float | np.ndarray
-    p_f2: float | np.ndarray
-    p_m1: float | np.ndarray
-    p_m2: float | np.ndarray
+    matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("p_d1", "p_d2", "p_f1", "p_f2", "p_m1", "p_m2"):
-            value = np.asarray(getattr(self, name))
-            _require((value >= -_UNIT_TOL) & (value <= 1.0 + _UNIT_TOL), value,
-                     f"{name} must lie in [0, 1]")
-        for a, b in (("p_d1", "p_m1"), ("p_d2", "p_m2"), ("p_f1", "p_f2")):
-            total = np.asarray(getattr(self, a) + getattr(self, b))
-            _require(total <= 1.0 + _UNIT_TOL, total, f"{a} + {b} must not exceed 1")
+        matrix = np.asarray(self.matrix, dtype=float)
+        if matrix.shape[:2] != (3, 3):
+            raise ValueError(f"matrix must have shape (3, 3, ...), got {matrix.shape}")
+        events = matrix[:, 1:]
+        _require((events >= -_UNIT_TOL) & (events <= 1.0 + _UNIT_TOL), events,
+                 "event report probabilities must lie in [0, 1]")
+        total = events[:, 0] + events[:, 1]
+        _require(total <= 1.0 + _UNIT_TOL, total,
+                 "a row's two event report probabilities must not exceed 1 combined")
+        object.__setattr__(self, "matrix", matrix)
+
+    @classmethod
+    def from_events(cls, plus: np.ndarray | list, minus: np.ndarray | list) -> LocalMetrics:
+        """The matrix from its +1 and -1 columns, rows in ``CODES`` order; the
+        one place that computes the quiet column, as ``1.0 - plus - minus``."""
+        plus = np.asarray(plus, dtype=float)
+        minus = np.asarray(minus, dtype=float)
+        return cls(np.stack(np.broadcast_arrays(1.0 - plus - minus, plus, minus), axis=1))
 
 
 def local_metrics(model: SignalModel, gammas: ObservationThresholds) -> LocalMetrics:
-    """Closed-form decision-region masses under each hypothesis.
+    """Closed-form decision-region masses under each truth.
 
     The first-event region is the interval [gamma1, gamma3) (empty when
     gamma3 <= gamma1), the second-event region is [max(gamma2, gamma3),
     inf); both are evaluated with the standard normal CDF shifted by
-    the hypothesis mean. ``np.maximum`` returns one of its operands, so
+    each truth's mean. ``np.maximum`` returns one of its operands, so
     the second region's CDF is the one already taken at that operand.
     """
     nonempty = gammas.gamma3 > gammas.gamma1
     gamma2_cuts = gammas.gamma2 >= gammas.gamma3
-
-    def masses(mean: float) -> tuple[float | np.ndarray, float | np.ndarray]:
-        """(first-event mass, second-event mass) for one hypothesis mean."""
+    plus, minus = [], []
+    for mean in (model.m0, model.m1, model.m2):
         cdf1 = normal_cdf(gammas.gamma1 - mean)
         cdf2 = normal_cdf(gammas.gamma2 - mean)
         cdf3 = normal_cdf(gammas.gamma3 - mean)
-        # [()] turns where's 0-d result back into a scalar for scalar input.
-        first = np.where(nonempty, cdf3 - cdf1, 0.0)[()]
-        return first, 1.0 - np.where(gamma2_cuts, cdf2, cdf3)[()]
-
-    p_f1, p_f2 = masses(model.m0)
-    p_d1, p_m1 = masses(model.m1)
-    p_m2, p_d2 = masses(model.m2)
-    return LocalMetrics(p_d1=p_d1, p_d2=p_d2, p_f1=p_f1, p_f2=p_f2, p_m1=p_m1, p_m2=p_m2)
+        plus.append(np.where(nonempty, cdf3 - cdf1, 0.0))
+        minus.append(1.0 - np.where(gamma2_cuts, cdf2, cdf3))
+    return LocalMetrics.from_events(plus, minus)

@@ -200,12 +200,12 @@ def _quorum_tail(
 
 
 def fusion_quality(metrics: LocalMetrics, params: FusionParams) -> FusionQuality:
-    """Closed-form quorum probabilities from per-sensor metrics."""
-    n, k = params.n, params.k
-    q_d1 = _quorum_tail(metrics.p_d1, metrics.p_m1, n, k)
-    q_d2 = _quorum_tail(metrics.p_d2, metrics.p_m2, n, k)
-    q_f1 = _quorum_tail(metrics.p_f1, metrics.p_f2, n, k)
-    q_f2 = _quorum_tail(metrics.p_f2, metrics.p_f1, n, k)
+    """Closed-form quorum probabilities, each the quorum tail of one truth's row."""
+    d = metrics.matrix
+    q_d1, q_d2, q_f1, q_f2 = (
+        _quorum_tail(d[t, e], d[t, 3 - e], params.n, params.k)
+        for t, e in ((1, 1), (2, 2), (0, 1), (0, 2))
+    )
     return FusionQuality(q_d1=q_d1, q_d2=q_d2, q_f1=q_f1, q_f2=q_f2)
 
 
@@ -234,9 +234,11 @@ def enumerate_fusion_oracle(metrics: LocalMetrics, params: FusionParams) -> Fusi
     For each truth, walks all 3^n vote vectors, scoring each by the
     product of its per-sensor probabilities, and applies the same
     quorum rule the simulator uses. Independent of the closed-form tail
-    sums on purpose: it shares no cell table or metric mapping with
-    :func:`fusion_quality`. n is capped to keep the walk tractable.
+    sums on purpose: it shares no cell table or row pairing with
+    :func:`fusion_quality`. Takes one (3, 3) matrix; n is capped.
     """
+    if metrics.matrix.shape != (3, 3):
+        raise ValueError(f"enumeration oracle takes a (3, 3) matrix, got {metrics.matrix.shape}")
     if params.n > MAX_ORACLE_SENSORS:
         raise ValueError(
             f"enumeration oracle supports n <= {MAX_ORACLE_SENSORS}, got {params.n}"
@@ -244,15 +246,14 @@ def enumerate_fusion_oracle(metrics: LocalMetrics, params: FusionParams) -> Fusi
     patterns = _vote_patterns(params.n)
     labels = quorum_label((patterns == 0).sum(axis=1), (patterns == 1).sum(axis=1), params.k)
 
-    def fused(p_plus: float, p_minus: float) -> tuple[float, float]:
-        """P(fused +1) and P(fused -1) when each vote is +1 or -1 with these odds."""
-        probs = np.array([p_plus, p_minus, 1.0 - p_plus - p_minus])
-        mass = probs[patterns].prod(axis=1)
+    def fused(row: np.ndarray) -> tuple[float, float]:
+        """P(fused +1) and P(fused -1) when each vote follows one truth's row."""
+        mass = row[[1, 2, 0]][patterns].prod(axis=1)
         return float(mass[labels == 1].sum()), float(mass[labels == -1].sum())
 
-    q_d1, _ = fused(metrics.p_d1, metrics.p_m1)
-    _, q_d2 = fused(metrics.p_m2, metrics.p_d2)
-    q_f1, q_f2 = fused(metrics.p_f1, metrics.p_f2)
+    q_f1, q_f2 = fused(metrics.matrix[0])
+    q_d1, _ = fused(metrics.matrix[1])
+    _, q_d2 = fused(metrics.matrix[2])
     return FusionQuality(q_d1=q_d1, q_d2=q_d2, q_f1=q_f1, q_f2=q_f2)
 
 
@@ -265,30 +266,20 @@ def prob_error(priors: Priors, quality: FusionQuality) -> float | np.ndarray:
     )
 
 
-def fault_adjust(metrics: LocalMetrics, faults: FaultModel) -> LocalMetrics:
-    """Propagate the fault transition matrix through per-sensor metrics.
+def fault_adjust(metrics: LocalMetrics, matrix: tuple[tuple[float, ...], ...]) -> LocalMetrics:
+    """Reported-label law: each truth's row times a fault transition matrix.
 
-    Under each hypothesis the reported-label distribution is the local
-    one, as a row over (0, +1, -1), times the transition matrix. With a
-    valid matrix the outputs are again probabilities; anything outside
-    [0, 1] indicates inconsistent inputs, and LocalMetrics raises rather
-    than clamping it.
+    ``matrix`` is laid out as ``FaultModel.matrix``; the product sums
+    over source labels in ``CODES`` order. An output outside [0, 1]
+    means inconsistent inputs, and LocalMetrics raises rather than
+    clamping it.
     """
-    # x_to_y: matrix entry from label x to label y; n = 0, p = +1, m = -1.
-    (_, n_to_p, n_to_m), (_, p_to_p, p_to_m), (_, m_to_p, m_to_m) = faults.matrix
-
-    def reported(plus: float, minus: float) -> tuple[float, float]:
-        rest = 1.0 - plus - minus
-        return (
-            rest * n_to_p + plus * p_to_p + minus * m_to_p,
-            rest * n_to_m + plus * p_to_m + minus * m_to_m,
-        )
-
-    m = metrics
-    p_d1, p_m1 = reported(m.p_d1, m.p_m1)
-    p_m2, p_d2 = reported(m.p_m2, m.p_d2)
-    p_f1, p_f2 = reported(m.p_f1, m.p_f2)
-    return LocalMetrics(p_d1=p_d1, p_d2=p_d2, p_f1=p_f1, p_f2=p_f2, p_m1=p_m1, p_m2=p_m2)
+    d = metrics.matrix
+    plus, minus = (
+        d[:, 0] * matrix[0][c] + d[:, 1] * matrix[1][c] + d[:, 2] * matrix[2][c]
+        for c in (1, 2)
+    )
+    return LocalMetrics.from_events(plus, minus)
 
 
 def prob_error_faulty(
@@ -308,5 +299,5 @@ def prob_error_faulty(
     """
     metrics = local_metrics(model, gammas_from_lambdas(model, lambdas))
     if faults is not None:
-        metrics = fault_adjust(metrics, faults)
+        metrics = fault_adjust(metrics, faults.matrix)
     return prob_error(priors, fusion_quality(metrics, params))

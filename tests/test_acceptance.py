@@ -144,17 +144,18 @@ def test_criterion_06_skewed_priors_spot_check():
     assert _report("criterion 6, skewed priors spot check", ok, detail)
 
 
+def _metrics_from_draws(draws):
+    """Metrics from three draws read as (p_d1, p_m1), (p_d2, p_m2), (p_f1, p_f2)."""
+    (d1, m1, _), (d2, m2, _), (f1, f2, _) = draws
+    return LocalMetrics.from_events((f1, d1, m2), (f2, m1, d2))
+
+
 def test_criterion_07_closed_form_matches_enumeration():
     rng = np.random.default_rng(20260818)
     pairs = [(n, k) for n in range(1, 8) for k in range(1, n + 1)]
     worst = 0.0
     for _ in range(1000):
-        draws = [rng.dirichlet((1.0, 1.0, 1.0)) for _ in range(3)]
-        metrics = LocalMetrics(
-            p_d1=draws[0][0], p_m1=draws[0][1],
-            p_d2=draws[1][0], p_m2=draws[1][1],
-            p_f1=draws[2][0], p_f2=draws[2][1],
-        )
+        metrics = _metrics_from_draws([rng.dirichlet((1.0, 1.0, 1.0)) for _ in range(3)])
         for n, k in pairs:
             fusion_params = FusionParams(n, k)
             quality = astuple(fusion_quality(metrics, fusion_params))
@@ -200,15 +201,10 @@ def test_criterion_08_monte_carlo_matches_metrics():
         configs.append((SignalModel(m0, m1, m2), ObservationThresholds(*gammas)))
     worst = 0.0
     for model, gammas in configs:
-        metrics = local_metrics(model, gammas)
-        per_truth = (
-            (model.m1, metrics.p_d1, metrics.p_m1),
-            (model.m2, metrics.p_m2, metrics.p_d2),
-            (model.m0, metrics.p_f1, metrics.p_f2),
-        )
-        for mean, p_first, p_second in per_truth:
+        d = local_metrics(model, gammas).matrix
+        for mean, row in ((model.m1, d[1]), (model.m2, d[2]), (model.m0, d[0])):
             codes = classify_observations(mean + rng.standard_normal(n_samples), gammas)
-            pairs = ((p_first, float(np.mean(codes == 1))), (p_second, float(np.mean(codes == -1))))
+            pairs = ((row[1], float(np.mean(codes == 1))), (row[2], float(np.mean(codes == -1))))
             for p, frequency in pairs:
                 se = np.sqrt(p * (1.0 - p) / n_samples)
                 if se == 0.0:
@@ -226,13 +222,9 @@ def test_criterion_09_fault_identities(model, priors, params):
     worst = 0.0
     identity_ok = True
     for _ in range(100):
-        draws = [rng.dirichlet((1.0, 1.0, 1.0)) for _ in range(3)]
-        metrics = LocalMetrics(
-            p_d1=draws[0][0], p_m1=draws[0][1],
-            p_d2=draws[1][0], p_m2=draws[1][1],
-            p_f1=draws[2][0], p_f2=draws[2][1],
-        )
-        identity_ok = identity_ok and fault_adjust(metrics, zero) == metrics
+        metrics = _metrics_from_draws([rng.dirichlet((1.0, 1.0, 1.0)) for _ in range(3)])
+        adjusted = fault_adjust(metrics, zero.matrix)
+        identity_ok = identity_ok and np.array_equal(adjusted.matrix, metrics.matrix)
         lambdas = LikelihoodThresholds(
             float(np.exp(rng.uniform(-4.0, 4.0))), float(np.exp(rng.uniform(-4.0, 4.0)))
         )

@@ -7,6 +7,7 @@ region construction, so agreement across all orderings is the point.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,48 +46,24 @@ def _ordering_case(g):
 def _piecewise_metrics(model, g):
     """Per-case closed forms, written independently of the library."""
     phi = normal_cdf
-    m0, m1, m2 = model.m0, model.m1, model.m2
+    means = (model.m0, model.m1, model.m2)  # truths in CODES order
     case = _ordering_case(g)
-    if case in (1, 3):
-        return LocalMetrics(
-            p_d1=phi(g.gamma3 - m1) - phi(g.gamma1 - m1),
-            p_d2=1.0 - phi(g.gamma3 - m2),
-            p_f1=phi(g.gamma3 - m0) - phi(g.gamma1 - m0),
-            p_f2=1.0 - phi(g.gamma3 - m0),
-            p_m1=1.0 - phi(g.gamma3 - m1),
-            p_m2=phi(g.gamma3 - m2) - phi(g.gamma1 - m2),
-        )
-    if case == 2:
-        return LocalMetrics(
-            p_d1=phi(g.gamma3 - m1) - phi(g.gamma1 - m1),
-            p_d2=1.0 - phi(g.gamma2 - m2),
-            p_f1=phi(g.gamma3 - m0) - phi(g.gamma1 - m0),
-            p_f2=1.0 - phi(g.gamma2 - m0),
-            p_m1=1.0 - phi(g.gamma2 - m1),
-            p_m2=phi(g.gamma3 - m2) - phi(g.gamma1 - m2),
-        )
-    if case == 4:
-        return LocalMetrics(
-            p_d1=0.0,
-            p_d2=1.0 - phi(g.gamma3 - m2),
-            p_f1=0.0,
-            p_f2=1.0 - phi(g.gamma3 - m0),
-            p_m1=1.0 - phi(g.gamma3 - m1),
-            p_m2=0.0,
-        )
-    return LocalMetrics(
-        p_d1=0.0,
-        p_d2=1.0 - phi(g.gamma2 - m2),
-        p_f1=0.0,
-        p_f2=1.0 - phi(g.gamma2 - m0),
-        p_m1=1.0 - phi(g.gamma2 - m1),
-        p_m2=0.0,
-    )
+    if case in (1, 2, 3):
+        plus = [phi(g.gamma3 - m) - phi(g.gamma1 - m) for m in means]
+    else:
+        plus = [0.0, 0.0, 0.0]
+    cutoff = g.gamma2 if case in (2, 5) else g.gamma3
+    minus = [1.0 - phi(cutoff - m) for m in means]
+    return LocalMetrics.from_events(plus, minus)
 
 
 def _metrics_close(a, b, tol=1e-12):
-    for name in ("p_d1", "p_d2", "p_f1", "p_f2", "p_m1", "p_m2"):
-        assert getattr(a, name) == pytest.approx(getattr(b, name), abs=tol), name
+    np.testing.assert_allclose(a.matrix, b.matrix, rtol=0.0, atol=tol)
+
+
+# The paper's six terms as (truth, report) entries of LocalMetrics.matrix.
+PAPER_TERMS = {"p_f1": (0, 1), "p_f2": (0, 2), "p_d1": (1, 1),
+               "p_m1": (1, 2), "p_m2": (2, 1), "p_d2": (2, 2)}
 
 
 class TestGammasFromLambdas:
@@ -205,33 +182,28 @@ class TestClassification:
 
 
 def _max_cutoff_metrics(model, g):
-    """The six metrics with the second-event mass taken at its cutoff,
+    """The metrics with the second-event mass taken at its cutoff,
     max(gamma2, gamma3), in one more CDF evaluation."""
     cutoff = np.maximum(g.gamma2, g.gamma3)
     nonempty = g.gamma3 > g.gamma1
-
-    def first(mean):
-        inside = normal_cdf(g.gamma3 - mean) - normal_cdf(g.gamma1 - mean)
-        return np.where(nonempty, inside, 0.0)[()]
-
-    def second(mean):
-        return 1.0 - normal_cdf(cutoff - mean)
-
-    return LocalMetrics(p_d1=first(model.m1), p_d2=second(model.m2), p_f1=first(model.m0),
-                        p_f2=second(model.m0), p_m1=second(model.m1), p_m2=first(model.m2))
+    means = (model.m0, model.m1, model.m2)
+    plus = [np.where(nonempty, normal_cdf(g.gamma3 - m) - normal_cdf(g.gamma1 - m), 0.0)
+            for m in means]
+    return LocalMetrics.from_events(plus, [1.0 - normal_cdf(cutoff - m) for m in means])
 
 
 class TestLocalMetrics:
     def test_case1_frozen_example(self, model):
         g = ObservationThresholds(1.5, 3.0, 4.5)
-        m = local_metrics(model, g)
-        assert m.p_d1 == pytest.approx(2.0 * PHI_1_5 - 1.0, abs=1e-12)
-        assert m.p_d2 == pytest.approx(PHI_1_5, abs=1e-12)
-        assert m.p_f1 == pytest.approx(PHI_4_5 - PHI_1_5, abs=1e-12)
-        assert m.p_f2 == pytest.approx(1.0 - PHI_4_5, abs=1e-12)
-        assert m.p_m1 == pytest.approx(1.0 - PHI_1_5, abs=1e-12)
-        # same interval seen from m2 mirrors p_f1 in this symmetric setup
-        assert m.p_m2 == pytest.approx(PHI_4_5 - PHI_1_5, abs=1e-12)
+        events = local_metrics(model, g).matrix[:, 1:]
+        # (+1, -1) reports per truth; the first-event interval seen from
+        # m2 mirrors the one seen from m0 in this symmetric setup
+        expected = [
+            [PHI_4_5 - PHI_1_5, 1.0 - PHI_4_5],
+            [2.0 * PHI_1_5 - 1.0, 1.0 - PHI_1_5],
+            [PHI_4_5 - PHI_1_5, PHI_1_5],
+        ]
+        np.testing.assert_allclose(events, expected, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "gammas, case",
@@ -263,10 +235,10 @@ class TestLocalMetrics:
 
     def test_tied_thresholds_empty_event1_region(self, model):
         g = ObservationThresholds(2.0, 3.0, 2.0)
-        m = local_metrics(model, g)
-        assert m.p_d1 == 0.0
-        assert m.p_f1 == 0.0
-        assert m.p_d2 == pytest.approx(1.0 - normal_cdf(3.0 - 6.0), abs=1e-12)
+        d = local_metrics(model, g).matrix
+        assert d[1, 1] == 0.0
+        assert d[0, 1] == 0.0
+        assert d[2, 2] == pytest.approx(1.0 - normal_cdf(3.0 - 6.0), abs=1e-12)
 
     @given(
         st.floats(-2.0, 2.0),
@@ -276,11 +248,9 @@ class TestLocalMetrics:
     )
     def test_conditionals_are_distributions(self, m0, d1, d2, gamma_triple):
         model = SignalModel(m0, m0 + d1, m0 + d1 + d2)
-        m = local_metrics(model, ObservationThresholds(*gamma_triple))
-        for first, second in ((m.p_d1, m.p_m1), (m.p_m2, m.p_d2), (m.p_f1, m.p_f2)):
-            assert 0.0 <= first <= 1.0
-            assert 0.0 <= second <= 1.0
-            assert first + second <= 1.0 + 1e-12
+        events = local_metrics(model, ObservationThresholds(*gamma_triple)).matrix[:, 1:]
+        assert ((events >= 0.0) & (events <= 1.0)).all()
+        assert (events[:, 0] + events[:, 1] <= 1.0 + 1e-12).all()
 
     @pytest.mark.parametrize(
         "gammas",
@@ -288,16 +258,12 @@ class TestLocalMetrics:
     )
     def test_monte_carlo_consistency(self, model, gammas, rng):
         n = 100_000
-        m = local_metrics(model, gammas)
-        expectations = {
-            Hypothesis.EVENT1: (m.p_d1, m.p_m1),
-            Hypothesis.EVENT2: (m.p_m2, m.p_d2),
-            Hypothesis.NORMAL: (m.p_f1, m.p_f2),
-        }
-        for truth, (p_first, p_second) in expectations.items():
+        d = local_metrics(model, gammas).matrix
+        for truth in (Hypothesis.EVENT1, Hypothesis.EVENT2, Hypothesis.NORMAL):
             x = model.means_for_codes(truth.code) + rng.standard_normal(n)
             codes = classify_observations(x, gammas)
-            for p, frequency in ((p_first, np.mean(codes == 1)), (p_second, np.mean(codes == -1))):
+            row = d[truth.code % 3]
+            for p, frequency in ((row[1], np.mean(codes == 1)), (row[2], np.mean(codes == -1))):
                 se = max(math.sqrt(p * (1.0 - p) / n), 1e-6)
                 assert abs(frequency - p) <= 5.0 * se
 
@@ -322,34 +288,37 @@ class TestLocalMetrics:
             zeros = np.array([0.0, -0.0])
             g = ObservationThresholds(zeros[:, None, None], zeros[None, :, None],
                                       zeros[None, None, :])
-        expected = _max_cutoff_metrics(model, g)
-        metrics = local_metrics(model, g)
-        for name in ("p_d1", "p_d2", "p_f1", "p_f2", "p_m1", "p_m2"):
-            got, want = getattr(metrics, name), getattr(expected, name)
-            assert type(got) is type(want), name
-            assert np.shape(got) == np.shape(want), name
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+        expected = _max_cutoff_metrics(model, g).matrix
+        got = local_metrics(model, g).matrix
+        assert got.dtype == expected.dtype == np.float64
+        shape = np.broadcast_shapes(*(np.shape(x) for x in (g.gamma1, g.gamma2, g.gamma3)))
+        assert got.shape == expected.shape == (3, 3) + shape
+        assert got.tobytes() == expected.tobytes()
 
     def test_validation_rejects_out_of_range(self):
+        # rows (quiet, event 1, event 2); p_d1 = 1.2, then p_d1 + p_m1 = 1.2
         with pytest.raises(ValueError):
-            LocalMetrics(p_d1=1.2, p_d2=0.5, p_f1=0.1, p_f2=0.1, p_m1=0.1, p_m2=0.1)
+            LocalMetrics.from_events((0.1, 1.2, 0.1), (0.1, 0.1, 0.5))
         with pytest.raises(ValueError):
-            LocalMetrics(p_d1=0.7, p_d2=0.5, p_f1=0.1, p_f2=0.1, p_m1=0.5, p_m2=0.1)
+            LocalMetrics.from_events((0.1, 0.7, 0.1), (0.1, 0.5, 0.5))
+        with pytest.raises(ValueError, match="shape"):
+            LocalMetrics(np.zeros((3, 2)))
 
     @pytest.mark.parametrize("name, bad", [
         ("p_d1", 1.2), ("p_d2", -0.1), ("p_f1", math.nan), ("p_f2", 1.5),
         ("p_m1", 0.6), ("p_m2", -1e-6),
     ])
     def test_every_array_entry_checked(self, name, bad):
-        # Three entries in range; one entry of one field breaks its bound
+        # Three entries in range; one entry of one term breaks its bound
         # (p_m1 = 0.6 only breaks p_d1 + p_m1 <= 1).
-        values = {
-            "p_d1": [0.7, 0.3, 0.2], "p_m1": [0.1, 0.2, 0.3],
-            "p_d2": [0.6, 0.5, 0.4], "p_m2": [0.2, 0.1, 0.3],
-            "p_f1": [0.1, 0.05, 0.2], "p_f2": [0.1, 0.2, 0.05],
-        }
-        fields = {key: np.array(row) for key, row in values.items()}
-        LocalMetrics(**fields)
-        fields[name][0] = bad
-        with pytest.raises(ValueError, match=name):
-            LocalMetrics(**fields)
+        plus = np.array([[0.1, 0.05, 0.2], [0.7, 0.3, 0.2], [0.2, 0.1, 0.3]])
+        minus = np.array([[0.1, 0.2, 0.05], [0.1, 0.2, 0.3], [0.6, 0.5, 0.4]])
+        LocalMetrics.from_events(plus, minus)
+        truth, report = PAPER_TERMS[name]
+        (plus, minus)[report - 1][truth, 0] = bad
+        if name == "p_m1":
+            message = "must not exceed 1 combined, got 1.2"
+        else:
+            message = re.escape(f"must lie in [0, 1], got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            LocalMetrics.from_events(plus, minus)

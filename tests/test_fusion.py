@@ -33,13 +33,16 @@ def pair(total=1.0):
 
 
 def metrics_strategy():
+    """Metrics from one (P(+1), P(-1)) pair per truth, in CODES order."""
     return st.tuples(pair(), pair(), pair()).map(
-        lambda t: LocalMetrics(
-            p_d1=t[0][0], p_m1=t[0][1],
-            p_d2=t[1][0], p_m2=t[1][1],
-            p_f1=t[2][0], p_f2=t[2][1],
-        )
+        lambda rows: LocalMetrics.from_events(*zip(*rows))
     )
+
+
+def metrics_from_draws(draws):
+    """Metrics from three draws read as (p_d1, p_m1), (p_d2, p_m2), (p_f1, p_f2)."""
+    (d1, m1, _), (d2, m2, _), (f1, f2, _) = draws
+    return LocalMetrics.from_events((f1, d1, m2), (f2, m1, d2))
 
 
 def fault_strategy(cap=0.5):
@@ -91,7 +94,8 @@ class TestQuorumLabel:
 
 class TestFusionQuality:
     def test_frozen_example(self):
-        m = LocalMetrics(p_d1=0.8, p_m1=0.1, p_d2=0.0, p_m2=0.0, p_f1=0.0, p_f2=0.0)
+        # p_d1 = 0.8, p_m1 = 0.1, every other event report 0
+        m = LocalMetrics.from_events((0.0, 0.8, 0.0), (0.0, 0.1, 0.0))
         q = fusion_quality(m, FusionParams(3, 2))
         assert q.q_d1 == pytest.approx(0.896, abs=1e-15)
 
@@ -101,19 +105,15 @@ class TestFusionQuality:
         # quality equals a plain binomial tail in its primary probability.
         k = n // 2 + 1
         q = fusion_quality(m, FusionParams(n, k))
-        assert q.q_d1 == pytest.approx(binom.sf(k - 1, n, m.p_d1), abs=1e-12)
-        assert q.q_d2 == pytest.approx(binom.sf(k - 1, n, m.p_d2), abs=1e-12)
-        assert q.q_f1 == pytest.approx(binom.sf(k - 1, n, m.p_f1), abs=1e-12)
-        assert q.q_f2 == pytest.approx(binom.sf(k - 1, n, m.p_f2), abs=1e-12)
+        d = m.matrix
+        assert q.q_d1 == pytest.approx(binom.sf(k - 1, n, d[1, 1]), abs=1e-12)
+        assert q.q_d2 == pytest.approx(binom.sf(k - 1, n, d[2, 2]), abs=1e-12)
+        assert q.q_f1 == pytest.approx(binom.sf(k - 1, n, d[0, 1]), abs=1e-12)
+        assert q.q_f2 == pytest.approx(binom.sf(k - 1, n, d[0, 2]), abs=1e-12)
 
     def test_oracle_equivalence_smoke(self, rng):
         for _ in range(25):
-            d = [rng.dirichlet((1.0, 1.0, 1.0)) for _ in range(3)]
-            m = LocalMetrics(
-                p_d1=d[0][0], p_m1=d[0][1],
-                p_d2=d[1][0], p_m2=d[1][1],
-                p_f1=d[2][0], p_f2=d[2][1],
-            )
+            m = metrics_from_draws([rng.dirichlet((1.0, 1.0, 1.0)) for _ in range(3)])
             for n, k in ((1, 1), (3, 2), (5, 3)):
                 params = FusionParams(n, k)
                 q = fusion_quality(m, params)
@@ -121,9 +121,16 @@ class TestFusionQuality:
                 assert astuple(q) == pytest.approx(astuple(reference), abs=1e-12)
 
     def test_oracle_size_cap(self):
-        m = LocalMetrics(p_d1=0.6, p_m1=0.2, p_d2=0.7, p_m2=0.1, p_f1=0.05, p_f2=0.02)
+        m = LocalMetrics.from_events((0.05, 0.6, 0.1), (0.02, 0.2, 0.7))
         with pytest.raises(ValueError):
             enumerate_fusion_oracle(m, FusionParams(13, 7))
+
+    def test_oracle_rejects_array_metrics(self, model):
+        # Two threshold entries would otherwise be summed into one term.
+        lambdas = LikelihoodThresholds(np.array([1.0, 2.0]), 1.0)
+        m = local_metrics(model, gammas_from_lambdas(model, lambdas))
+        with pytest.raises(ValueError, match=r"\(3, 3\) matrix"):
+            enumerate_fusion_oracle(m, FusionParams(5, 3))
 
 
 class TestFaultModel:
@@ -171,42 +178,38 @@ def _transition_matrix(f):
 
 class TestFaultAdjust:
     def test_zero_faults_is_identity(self):
-        m = LocalMetrics(p_d1=0.6, p_m1=0.2, p_d2=0.7, p_m2=0.1, p_f1=0.05, p_f2=0.02)
-        assert fault_adjust(m, FaultModel.uniform_split(0.0)) == m
+        m = LocalMetrics.from_events((0.05, 0.6, 0.1), (0.02, 0.2, 0.7))
+        adjusted = fault_adjust(m, FaultModel.uniform_split(0.0).matrix)
+        assert np.array_equal(adjusted.matrix, m.matrix)
 
     @given(metrics_strategy(), fault_strategy())
     @settings(max_examples=200)
     def test_matches_markov_transition(self, m, f):
         t = _transition_matrix(f)
-        under_h1 = np.array([1.0 - m.p_d1 - m.p_m1, m.p_d1, m.p_m1]) @ t
-        under_h2 = np.array([1.0 - m.p_d2 - m.p_m2, m.p_m2, m.p_d2]) @ t
-        under_h0 = np.array([1.0 - m.p_f1 - m.p_f2, m.p_f1, m.p_f2]) @ t
-        adjusted = fault_adjust(m, f)
-        assert adjusted.p_d1 == pytest.approx(under_h1[1], abs=1e-12)
-        assert adjusted.p_m1 == pytest.approx(under_h1[2], abs=1e-12)
-        assert adjusted.p_m2 == pytest.approx(under_h2[1], abs=1e-12)
-        assert adjusted.p_d2 == pytest.approx(under_h2[2], abs=1e-12)
-        assert adjusted.p_f1 == pytest.approx(under_h0[1], abs=1e-12)
-        assert adjusted.p_f2 == pytest.approx(under_h0[2], abs=1e-12)
+        # one hand-written row . matrix product per truth, in CODES order
+        expected = [
+            [row[0] * t[0, c] + row[1] * t[1, c] + row[2] * t[2, c] for c in range(3)]
+            for row in m.matrix.tolist()
+        ]
+        adjusted = fault_adjust(m, f.matrix)
+        np.testing.assert_allclose(adjusted.matrix, expected, rtol=0.0, atol=1e-12)
 
     @given(metrics_strategy(), fault_strategy())
     @settings(max_examples=200)
     def test_preserves_distributions(self, m, f):
-        adjusted = fault_adjust(m, f)
-        assert adjusted.p_d1 + adjusted.p_m1 <= 1.0 + 1e-12
-        assert adjusted.p_d2 + adjusted.p_m2 <= 1.0 + 1e-12
-        assert adjusted.p_f1 + adjusted.p_f2 <= 1.0 + 1e-12
+        events = fault_adjust(m, f.matrix).matrix[:, 1:]
+        assert (events[:, 0] + events[:, 1] <= 1.0 + 1e-12).all()
 
 
 class TestProbError:
     def test_false_alarms_only(self):
-        m = LocalMetrics(p_d1=0.0, p_m1=0.0, p_d2=0.0, p_m2=0.0, p_f1=0.3, p_f2=0.1)
+        m = LocalMetrics.from_events((0.3, 0.0, 0.0), (0.1, 0.0, 0.0))
         quality = fusion_quality(m, FusionParams(1, 1))
         pe = prob_error(Priors(1.0, 0.0, 0.0), quality)
         assert pe == pytest.approx(0.4, abs=1e-15)
 
     def test_perfect_detection_zero_error(self):
-        m = LocalMetrics(p_d1=1.0, p_m1=0.0, p_d2=1.0, p_m2=0.0, p_f1=0.0, p_f2=0.0)
+        m = LocalMetrics.from_events((0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
         quality = fusion_quality(m, FusionParams(5, 3))
         assert prob_error(Priors(0.59, 0.25, 0.16), quality) == pytest.approx(0.0, abs=1e-15)
 
@@ -251,7 +254,7 @@ class TestArrayForm:
 
         metrics = local_metrics(model, gammas_from_lambdas(model, lambdas))
         if fault_model is not None:
-            metrics = fault_adjust(metrics, fault_model)
+            metrics = fault_adjust(metrics, fault_model.matrix)
         quality = fusion_quality(metrics, params)
         errors = prob_error_faulty(model, priors, lambdas, params, fault_model)
         assert errors.shape == (200,)
@@ -260,13 +263,23 @@ class TestArrayForm:
             scalar = LikelihoodThresholds(l1, l2)
             m = local_metrics(model, gammas_from_lambdas(model, scalar))
             if fault_model is not None:
-                m = fault_adjust(m, fault_model)
+                m = fault_adjust(m, fault_model.matrix)
             q = fusion_quality(m, params)
-            for name in ("p_d1", "p_d2", "p_f1", "p_f2", "p_m1", "p_m2"):
-                assert getattr(metrics, name)[index] == getattr(m, name), name
+            assert metrics.matrix[..., index].tobytes() == m.matrix.tobytes()
             for name in ("q_d1", "q_d2", "q_f1", "q_f2", "q_f"):
                 assert getattr(quality, name)[index] == getattr(q, name), name
             assert errors[index] == prob_error_faulty(model, priors, scalar, params, fault_model)
+
+    def test_quiet_column_is_one_minus_events(self, model):
+        logs = np.random.default_rng(29).uniform(-5.0, 5.0, size=(2, 200))
+        scalar = LikelihoodThresholds(math.exp(logs[0, 0]), math.exp(logs[1, 0]))
+        array = LikelihoodThresholds(np.exp(logs[0]), np.exp(logs[1]))
+        for lambdas in (scalar, array):
+            m = local_metrics(model, gammas_from_lambdas(model, lambdas))
+            adjusted = [fault_adjust(m, self.FAULTS[name].matrix) for name in ("table", "uniform")]
+            for d in [m.matrix] + [a.matrix for a in adjusted]:
+                assert d.shape == (3, 3) + np.shape(lambdas.lambda1)
+                assert d[:, 0].tobytes() == (1.0 - d[:, 1] - d[:, 2]).tobytes()
 
     @pytest.mark.parametrize("n, k", [(5, 3), (4, 2), (6, 3), (8, 5), (5, 1), (5, 5), (7, 2)])
     def test_tail_equals_python_float_loop(self, n, k):
@@ -288,7 +301,7 @@ class TestArrayForm:
             return total
 
         a, b, _ = np.random.default_rng(3).dirichlet([1.0, 1.0, 1.0], size=300).T
-        m = LocalMetrics(p_d1=a, p_m1=b, p_d2=b, p_m2=a, p_f1=a, p_f2=b)
+        m = LocalMetrics.from_events([a] * 3, [b] * 3)
         q = fusion_quality(m, FusionParams(n, k))
         pairs = list(zip(a.tolist(), b.tolist()))
         assert q.q_d1.tolist() == [reference(x, y) for x, y in pairs]
