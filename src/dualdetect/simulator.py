@@ -118,6 +118,13 @@ class FieldConfig:
                 raise TypeError(f"{f.name} must be an integer, got {value!r}")
         if not (0 < self.width < math.inf and 0 < self.height < math.inf):
             raise ValueError("field dimensions must be positive and finite")
+        # Beyond this a squared distance between two sensors can overflow.
+        width, height = float(self.width), float(self.height)
+        if not math.isfinite(width * width + height * height):
+            raise ValueError(
+                f"field dimensions must keep width*width + height*height at most "
+                f"{float(np.finfo(float).max)!r}, got {self.width!r} x {self.height!r}"
+            )
         if self.sensor_count < 1:
             raise ValueError(f"sensor_count must be positive, got {self.sensor_count}")
         for name in ("event1_region", "event2_region"):
@@ -152,7 +159,7 @@ class SensorField:
     config: FieldConfig
     positions: np.ndarray    # (R*N, 2) float64
     truth: np.ndarray        # (R*N,) int8 decision codes
-    neighbors: np.ndarray    # (R*N, n) int64, nearest first
+    neighbors: np.ndarray    # (R*N, n) int64, each row a set in no order
 
 
 # Each FaultModel.matrix row's off-diagonal columns in ascending order.
@@ -181,11 +188,13 @@ class FaultSpec:
     arcs: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        total = self.model.total_probability
-        if total > 1.0:
-            raise ValueError(f"fault probability must not exceed 1, got {total!r}")
         if self.mode not in FAULT_MODES:
             raise ValueError(f"fault mode must be one of {FAULT_MODES}, got {self.mode!r}")
+        # Forced-change faults floor(total * N) of N sensors; alpha-table
+        # needs only the matrix's valid rows, which FaultModel checks.
+        total = self.model.total_probability
+        if self.mode == "forced-change" and total > 1.0:
+            raise ValueError(f"fault probability must not exceed 1, got {total!r}")
         arcs = tuple((row[c0], row[c1])
                      for row, (c0, c1) in zip(self.model.matrix, _ARC_COLUMNS.tolist()))
         if self.mode == "forced-change":
@@ -230,15 +239,17 @@ _CHUNK_CANDIDATES = 2**15
 def _nearest_neighbors(
     positions: np.ndarray, n: int, include_self: bool, realizations: int = 1
 ) -> np.ndarray:
-    """Indices of each sensor's n nearest sensors, nearest first.
+    """Each sensor's n nearest sensors, a set of indices in no order.
 
     ``positions`` stacks ``realizations`` fields of equal size: field r
-    holds rows r*N ... r*N+N-1, and its neighbour lists stay within
+    holds rows r*N ... r*N+N-1, and its neighbour sets stay within
     those rows. A single field is the case of one realization.
-    Sensors are ordered by squared Euclidean distance ``dx*dx + dy*dy``
-    in float64, ties going to the lower index, so a coincident sensor
-    with a lower index sorts ahead of the sensor itself. With
-    ``include_self`` false the sensor itself is never listed.
+    A row holds the n smallest (squared Euclidean distance
+    ``dx*dx + dy*dy`` in float64, index) pairs: a tie at the n-th
+    distance goes to the lower index, so coincident sensors with lower
+    indices can crowd out the sensor itself. With ``include_self``
+    false the sensor itself is never listed. Positions whose squared
+    span overflows raise ``ValueError``.
 
     The search is a cell list (Allen & Tildesley, *Computer Simulation
     of Liquids*). Square cells of side h hold about n/2 sensors of one
@@ -255,10 +266,10 @@ def _nearest_neighbors(
     smaller cells only mean fewer candidates and a few more rows that
     need a second ring. Each row's n-th smallest distance is found by a
     partial selection (``partition``, Musser's introselect), and the
-    candidates at or below it, exactly n unless there is a tie, are
-    sorted by (distance, index). Rows with more than n candidates at or
-    below it (lattices, coincident sensors) are sorted in full instead,
-    so every tie goes to the lower index.
+    candidates at or below it, exactly n unless there is a tie, are the
+    row, in candidate order. Only rows with more than n candidates at or
+    below it (lattices, coincident sensors) are sorted, by (distance,
+    index), so that every tie goes to the lower index.
 
     Rows that are not yet exact are searched again with r one larger,
     until the block covers the whole grid. Within a round the cells are
@@ -280,11 +291,16 @@ def _nearest_neighbors(
     # Per column: a reduction over a strided axis 0 is several times slower.
     lo = np.array([positions[:, 0].min(), positions[:, 1].min()])
     span = np.array([positions[:, 0].max(), positions[:, 1].max()]) - lo
+    # An overflowing squared distance never falls below a ring's bound,
+    # so its row would wait for ever larger rings.
+    width, height = span.tolist()
+    if not math.isfinite(width * width + height * height):
+        raise ValueError(f"squared span of {width!r} x {height!r} overflows")
     # The second term caps the cells along a thin strip, so there are at
     # most 4.1 * size / n + 1 cells per field; sensors all at one point
     # share one.
-    h = max(0.7 * math.sqrt(span[0] * span[1] * n / size),
-            span.max() * n / size) or 1.0
+    h = max(0.7 * math.sqrt(width * height * n / size),
+            max(width, height) * n / size) or 1.0
     shape = (span // h).astype(np.int64) + 1
     cell_xy = np.minimum(np.floor((positions - lo) / h).astype(np.int64), shape - 1)
     field_column = np.repeat(np.arange(realizations) * shape[0], size) + cell_xy[:, 0]
@@ -391,10 +407,7 @@ def _settle_chunk(
     if exact.any():
         within[~exact] = False
         picked = np.flatnonzero(within)
-        kept = d2.ravel()[picked].reshape(-1, n)
-        found = ids[cand.ravel()[picked]].reshape(-1, n)
-        rank = np.lexsort((found, kept), axis=1)
-        neighbors[ids[chunk[exact]]] = found[np.arange(rank.shape[0])[:, None], rank]
+        neighbors[ids[chunk[exact]]] = ids[cand.ravel()[picked]].reshape(-1, n)
     if tied.any():
         tied_ids = ids[cand[tied]]
         best = np.lexsort((tied_ids, d2[tied]), axis=1)[:, :n]

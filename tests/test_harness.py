@@ -799,6 +799,18 @@ class TestCli:
         faults = int(completed.stderr.split()[-1])
         assert faults < 300, f"{faults} minor faults"
 
+    def test_huge_field_exits_two(self, tmp_path):
+        # Squared distances in this field overflow to inf, so the neighbour
+        # search's rings would grow for ever; a subprocess, so that a hang
+        # fails by its timeout.
+        completed = subprocess.run(
+            [sys.executable, "-m", "dualdetect", "simulate", "--width", "1e160",
+             "--height", "1e160", "--output-dir", str(tmp_path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert completed.returncode == 2, completed.stderr
+        assert "width*width + height*height at most 1.79" in completed.stderr
+
     def test_oracle_check_exit_zero(self, capsys):
         code = main(["oracle-check"])
         captured = capsys.readouterr()

@@ -209,7 +209,7 @@ class TestSearchBehavior:
         assert skewed.lambda2 > balanced.lambda2
 
 
-class TestScreenedLattice:
+class TestLatticeSearch:
     """The search equals its restatement, :func:`reference_search`, bit for bit."""
 
     @pytest.mark.parametrize("model, priors, params, faults", _objectives())

@@ -58,6 +58,13 @@ def _kd_tree_neighbors(positions, n, include_self):
     return np.take_along_axis(cand, best, axis=1)
 
 
+def _assert_same_sets(actual, expected, **kwargs):
+    """Each row of ``actual`` holds the same indices as that of ``expected``:
+    neighbour rows are sets, so both sides are sorted row by row."""
+    np.testing.assert_array_equal(np.sort(actual, axis=1), np.sort(expected, axis=1),
+                                  **kwargs)
+
+
 def _oracle_neighbors(positions, n, include_self):
     """Brute force: sort every row of the full N x N matrix by (d2, index)."""
     dx = positions[:, None, 0] - positions[None, :, 0]
@@ -109,6 +116,14 @@ class TestFieldConfig:
         with pytest.raises(ValueError):
             FieldConfig(sensor_count=5, include_self=False)
 
+    @pytest.mark.parametrize(("width", "height"), [(1e160, 1e160), (1e154, 1e154), (1.4e308, 1.0)])
+    def test_squared_dimensions_must_not_overflow(self, width, height):
+        # A squared distance across such a field overflows to inf, and the
+        # neighbour search could never settle its rows.
+        with pytest.raises(ValueError, match=r"width\*width \+ height\*height at most 1\.79"):
+            FieldConfig(width=width, height=height)
+        assert FieldConfig(width=9e153, height=9e153).width == 9e153
+
 
 class TestGenerateField:
     def test_truth_follows_regions(self):
@@ -156,7 +171,7 @@ class TestGenerateField:
         finally:
             tracemalloc.stop()
         assert field.neighbors.shape == (20_000, 5)
-        np.testing.assert_array_equal(field.neighbors[:, 0], np.arange(20_000))
+        assert (field.neighbors == np.arange(20_000)[:, None]).any(axis=1).all()
         assert peak < 150 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
@@ -164,30 +179,26 @@ class TestNearestNeighbors:
     def test_line_with_self(self):
         positions = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [6.0, 0.0]])
         neighbors = _nearest_neighbors(positions, 2, include_self=True)
-        np.testing.assert_array_equal(neighbors[0], [0, 1])
-        np.testing.assert_array_equal(neighbors[1], [1, 0])
-        np.testing.assert_array_equal(neighbors[2], [2, 1])
-        np.testing.assert_array_equal(neighbors[3], [3, 2])
+        _assert_same_sets(neighbors, [[0, 1], [1, 0], [2, 1], [3, 2]])
 
     def test_line_without_self(self):
         positions = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [6.0, 0.0]])
         neighbors = _nearest_neighbors(positions, 2, include_self=False)
-        np.testing.assert_array_equal(neighbors[0], [1, 2])
-        np.testing.assert_array_equal(neighbors[1], [0, 2])
-        np.testing.assert_array_equal(neighbors[2], [1, 0])
-        np.testing.assert_array_equal(neighbors[3], [2, 1])
+        _assert_same_sets(neighbors, [[1, 2], [0, 2], [1, 0], [2, 1]])
 
     def test_distance_ties_break_by_index(self):
         positions = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         neighbors = _nearest_neighbors(positions, 3, include_self=True)
         # sensors 1, 2, 3 are all at distance 1 from sensor 0
-        np.testing.assert_array_equal(neighbors[0], [0, 1, 2])
+        _assert_same_sets(neighbors[:1], [[0, 1, 2]])
 
     def test_self_always_first_when_included(self):
         rng = np.random.default_rng(0)
         positions = rng.uniform(0.0, 20.0, size=(50, 2))
         neighbors = _nearest_neighbors(positions, 4, include_self=True)
-        np.testing.assert_array_equal(neighbors[:, 0], np.arange(50))
+        # Rows are sets in no order; without coincident sensors each row
+        # holds its own sensor somewhere.
+        assert (neighbors == np.arange(50)[:, None]).any(axis=1).all()
 
     def test_brute_force_agreement(self):
         rng = np.random.default_rng(42)
@@ -197,7 +208,7 @@ class TestNearestNeighbors:
         d2 = np.einsum("ijk,ijk->ij", deltas, deltas)
         for i in range(60):
             order = sorted(range(60), key=lambda j: (d2[i, j], j))
-            np.testing.assert_array_equal(neighbors[i], order[:5])
+            _assert_same_sets(neighbors[i:i + 1], [order[:5]])
 
     @pytest.mark.parametrize("include_self", [True, False])
     @pytest.mark.parametrize("count", [2, 3, 9, 40, 150, 600])
@@ -206,7 +217,7 @@ class TestNearestNeighbors:
         rng = np.random.default_rng(count)
         positions = _layout(layout, count, rng)
         for n in range(1, min(12, count - (not include_self)) + 1):
-            np.testing.assert_array_equal(
+            _assert_same_sets(
                 _nearest_neighbors(positions, n, include_self),
                 _oracle_neighbors(positions, n, include_self),
                 err_msg=f"n={n}",
@@ -215,7 +226,7 @@ class TestNearestNeighbors:
     @pytest.mark.parametrize("include_self", [True, False])
     def test_large_uniform_matches_kd_tree(self, include_self):
         positions = np.random.default_rng(20).uniform(0.0, 20.0, size=(20_000, 2))
-        np.testing.assert_array_equal(
+        _assert_same_sets(
             _nearest_neighbors(positions, 5, include_self),
             _kd_tree_neighbors(positions, 5, include_self),
         )
@@ -234,7 +245,7 @@ class TestNearestNeighbors:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-        np.testing.assert_array_equal(neighbors, _kd_tree_neighbors(positions, 5, True))
+        _assert_same_sets(neighbors, _kd_tree_neighbors(positions, 5, True))
 
     @pytest.mark.parametrize("include_self", [True, False])
     def test_large_uniform_field_memory(self, include_self):
@@ -261,7 +272,7 @@ class TestNearestNeighbors:
         rng = np.random.default_rng(22)
         positions = np.full((60, 2), 3.0) if layout == "point" else _layout(layout, 300, rng)
         for n in (1, 2, 5, 8):
-            np.testing.assert_array_equal(
+            _assert_same_sets(
                 _nearest_neighbors(positions, n, include_self),
                 _oracle_neighbors(positions, n, include_self),
                 err_msg=f"n={n}",
@@ -283,7 +294,7 @@ class TestNearestNeighbors:
         for n in (1, 2, 5, 8):
             expected = np.vstack([_oracle_neighbors(block, n, include_self) + r * count
                                   for r, block in enumerate(blocks)])
-            np.testing.assert_array_equal(
+            _assert_same_sets(
                 _nearest_neighbors(np.vstack(blocks), n, include_self, len(blocks)),
                 expected,
                 err_msg=f"n={n}",
@@ -307,7 +318,7 @@ class TestNearestNeighbors:
         assert key_types == [np.dtype(np.uint32)]
         expected = np.vstack([_kd_tree_neighbors(block, 2, include_self) + r * 10_000
                               for r, block in enumerate(blocks)])
-        np.testing.assert_array_equal(neighbors, expected)
+        _assert_same_sets(neighbors, expected)
 
     @pytest.mark.parametrize("include_self", [True, False])
     def test_sensors_on_cell_edges(self, include_self):
@@ -326,11 +337,17 @@ class TestNearestNeighbors:
             rng = np.random.default_rng(25 + n)
             edge = grid[rng.choice(len(grid), size - 2, replace=False)]
             positions = np.vstack([[0.0, 0.0], [extent, extent], edge])
-            np.testing.assert_array_equal(
+            _assert_same_sets(
                 _nearest_neighbors(positions, n, include_self),
                 _oracle_neighbors(positions, n, include_self),
                 err_msg=f"n={n}",
             )
+
+    def test_overflowing_span_raises(self):
+        # Squared distances across this span are inf, so no row would settle.
+        positions = np.array([[0.0, 0.0], [1e160, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="squared span"):
+            _nearest_neighbors(positions, 2, True)
 
     def test_unequal_stack_raises(self):
         positions = np.random.default_rng(9).uniform(0.0, 1.0, size=(7, 2))
@@ -343,8 +360,8 @@ class TestNearestNeighbors:
         # selection happened to keep.
         positions = np.random.default_rng(12).integers(0, 3, size=(68, 2)).astype(float)
         neighbors = _nearest_neighbors(positions, 5, include_self=True)
-        np.testing.assert_array_equal(neighbors[15], [15, 26, 40, 65, 2])
-        np.testing.assert_array_equal(neighbors, _oracle_neighbors(positions, 5, True))
+        _assert_same_sets(neighbors[15:16], [[15, 26, 40, 65, 2]])
+        _assert_same_sets(neighbors, _oracle_neighbors(positions, 5, True))
 
     def test_rows_short_of_n_candidates_wait_for_a_larger_ring(self):
         # Six sensors on every point of a 5 x 5 unit lattice but one, which
@@ -353,7 +370,7 @@ class TestNearestNeighbors:
         # has no row with n = 2 candidates.
         points = np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0)), axis=-1).reshape(-1, 2)
         positions = np.vstack([points[:1], np.repeat(points[1:], 6, axis=0)])
-        np.testing.assert_array_equal(
+        _assert_same_sets(
             _nearest_neighbors(positions, 2, include_self=True),
             _oracle_neighbors(positions, 2, True),
         )
@@ -370,7 +387,7 @@ class TestNearestNeighbors:
         }[layout]
         largest = count if include_self else count - 1
         for n in (1, 5, largest):
-            np.testing.assert_array_equal(
+            _assert_same_sets(
                 _nearest_neighbors(positions, n, include_self),
                 _oracle_neighbors(positions, n, include_self),
                 err_msg=f"n={n}",
@@ -386,7 +403,7 @@ class TestNearestNeighbors:
     def test_whole_field_as_neighborhood(self, layout):
         positions = _layout(layout, 30, np.random.default_rng(8))
         for n, include_self in ((30, True), (29, False)):
-            np.testing.assert_array_equal(
+            _assert_same_sets(
                 _nearest_neighbors(positions, n, include_self),
                 _oracle_neighbors(positions, n, include_self),
             )
@@ -423,6 +440,18 @@ class TestFuseDecisions:
         for k in range(1, n + 1):
             expected = quorum_label((votes == 1).sum(axis=1), (votes == -1).sum(axis=1), k)
             np.testing.assert_array_equal(fuse_decisions(reported, neighbors, k), expected)
+
+    @pytest.mark.parametrize(("n", "k"), [(5, 3), (4, 2), (5, 1), (6, 3), (8, 5)])
+    def test_ignores_neighbour_order(self, n, k):
+        # Fusion only counts votes, which is why neighbour rows can be
+        # sets; 2k <= n lets both events reach quorum at once.
+        rng = np.random.default_rng(10 * n + k)
+        field = generate_field(FieldConfig(neighborhood_size=n, quorum=k), [rng])
+        reported = rng.integers(-1, 2, size=field.truth.size).astype(np.int8)
+        expected = fuse_decisions(reported, field.neighbors, k)
+        for _ in range(3):
+            shuffled = rng.permuted(field.neighbors, axis=1)
+            np.testing.assert_array_equal(fuse_decisions(reported, shuffled, k), expected)
 
     def test_uses_only_listed_neighbors(self):
         reported = np.array([1, 1, -1, -1, 0, 0], dtype=np.int8)
@@ -532,8 +561,7 @@ class TestRunDetection:
         for r, single in enumerate(alone):
             rows = slice(r * 90, (r + 1) * 90)
             np.testing.assert_array_equal(batch.field.positions[rows], single.field.positions)
-            np.testing.assert_array_equal(batch.field.neighbors[rows],
-                                          single.field.neighbors + r * 90)
+            _assert_same_sets(batch.field.neighbors[rows], single.field.neighbors + r * 90)
             for name in ("local", "reported", "faulty", "final", "clean_final"):
                 np.testing.assert_array_equal(getattr(batch, name)[rows], getattr(single, name))
             for name in RATES:
@@ -557,6 +585,9 @@ class TestRunDetection:
 # The +1 row's arcs are unequal (0.1 to 0, 0.05 to -1), the quiet row's
 # one-sided (0.3 to +1, 0 to -1) and the -1 row's both zero.
 SKEWED_ALPHAS = (0.1, 0.0, 0.05, 0.0, 0.3, 0.0)
+# Valid rows whose six alphas add up to 2: each event sensor leaves its
+# label, half to quiet and half to the other event.
+HEAVY_ALPHAS = (0.5, 0.5, 0.5, 0.5, 0.0, 0.0)
 
 
 def _within_4_se(hits, trials, p):
@@ -566,13 +597,22 @@ def _within_4_se(hits, trials, p):
 
 class TestFaultLaw:
     @staticmethod
-    def _inject(mode):
+    def _inject(mode, alphas=SKEWED_ALPHAS):
         rng = np.random.default_rng(11)
         local = rng.permutation(np.repeat(np.array([0, 1, -1], dtype=np.int8), 20_000))
-        spec = FaultSpec(FaultModel(*SKEWED_ALPHAS), mode)
+        spec = FaultSpec(FaultModel(*alphas), mode)
         reported, faulty = _inject_faults(local, spec, [rng])
         np.testing.assert_array_equal(faulty, reported != local)
         return local, reported, faulty
+
+    @staticmethod
+    def _assert_reports_follow_rows(local, reported, matrix):
+        for label in (0, 1, -1):
+            reports = reported[local == label]
+            for to in (0, 1, -1):
+                p = matrix[label % 3][to % 3]
+                hits = int((reports == to).sum())
+                assert _within_4_se(hits, reports.size, p), (label, to, hits)
 
     def test_forced_change_moves_in_proportion_to_its_row(self):
         local, reported, faulty = self._inject("forced-change")
@@ -589,13 +629,15 @@ class TestFaultLaw:
 
     def test_alpha_table_reports_follow_matrix_rows(self):
         local, reported, _ = self._inject("alpha-table")
-        matrix = FaultModel(*SKEWED_ALPHAS).matrix
-        for label in (0, 1, -1):
-            reports = reported[local == label]
-            for to in (0, 1, -1):
-                p = matrix[label % 3][to % 3]
-                hits = int((reports == to).sum())
-                assert _within_4_se(hits, reports.size, p), (label, to, hits)
+        self._assert_reports_follow_rows(local, reported, FaultModel(*SKEWED_ALPHAS).matrix)
+
+    def test_alpha_table_needs_only_valid_rows(self):
+        # Only forced-change, which faults floor(total * N) sensors, bounds
+        # the alphas' total by 1.
+        local, reported, _ = self._inject("alpha-table", HEAVY_ALPHAS)
+        self._assert_reports_follow_rows(local, reported, FaultModel(*HEAVY_ALPHAS).matrix)
+        with pytest.raises(ValueError, match="must not exceed 1, got 2.0"):
+            FaultSpec(FaultModel(*HEAVY_ALPHAS), "forced-change")
 
     @given(st.tuples(*(st.floats(0.0, 1.0 / 6.0) for _ in range(6))))
     def test_arcs_state_each_mode_law(self, alphas):
