@@ -64,10 +64,9 @@ ORACLE_TOLERANCE = 1e-10
 # threshold from fresh mappings that are unmapped on free. At the
 # defaults a sweep's neighbour search, whose chunks allocate and free
 # about 1.5 MB of numpy temporaries each, faults the same pages in again
-# chunk after chunk (about 18,000 minor faults per count-sweep run).
-# Any mallopt call also turns off glibc's dynamic mmap threshold, so
-# both are set: raising the trim threshold alone doubles the faults of a
-# 100,000-sensor simulate.
+# chunk after chunk. Any mallopt call also turns off glibc's dynamic
+# mmap threshold, so both are set: raising the trim threshold alone
+# doubles the faults of a 100,000-sensor simulate.
 MMAP_THRESHOLD_BYTES = 32 << 20
 TRIM_THRESHOLD_BYTES = 64 << 20
 _M_TRIM_THRESHOLD = -1  # mallopt parameter numbers from glibc's <malloc.h>

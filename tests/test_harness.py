@@ -1,18 +1,22 @@
 """Experiment harness: config parsing, CSV artifacts, sweeps, CLI."""
 
 import hashlib
+import importlib
+import inspect
 import math
+import pkgutil
 import platform
 import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dualdetect
 from dualdetect import (
     ConfigError,
     ExperimentConfig,
@@ -211,6 +215,28 @@ class TestConfigParsing:
             load_config(tmp_path / "absent.conf")
 
 
+# Backticked README names ending in one of these are file names.
+README_FILE_SUFFIXES = {"py", "md", "csv", "json", "conf", "toml", "yml"}
+
+
+def _resolves(obj, parts):
+    """Whether ``obj.parts[0].parts[1]...`` names a module, an attribute,
+    a property or a dataclass field."""
+    for i, part in enumerate(parts):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+        elif inspect.ismodule(obj):
+            try:
+                obj = importlib.import_module(f"{obj.__name__}.{part}")
+            except ModuleNotFoundError:
+                return False
+        else:
+            # A dataclass field without a default is no class attribute.
+            return (is_dataclass(obj) and i == len(parts) - 1
+                    and part in {f.name for f in fields(obj)})
+    return True
+
+
 class TestKeyParity:
     def test_cases_cover_every_key(self):
         covered = {key for case in KEY_PARITY_CASES for key in case[0].split()}
@@ -257,6 +283,23 @@ class TestKeyParity:
         named = [name for line in section.splitlines() if line.startswith("| `")
                  for name in re.findall(r"`(\w+)`", line.split("|")[1])]
         assert sorted(named) == sorted(CONFIG_KEYS)
+
+    def test_readme_names_only_code_that_exists(self):
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        modules = {info.name for info in pkgutil.iter_modules(dualdetect.__path__)}
+        missing = []
+        for span in re.findall(r"`([^`\n]+)`", text):
+            if not re.fullmatch(r"\w+(\.\w+)+", span):
+                continue
+            parts = span.split(".")
+            if parts[0] == "dualdetect":
+                parts = parts[1:]
+            if parts[-1] in README_FILE_SUFFIXES or not (
+                    parts[0] in modules or parts[0] in dualdetect.__all__):
+                continue
+            if not _resolves(dualdetect, parts):
+                missing.append(span)
+        assert missing == []
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.conf")), ids=lambda p: p.name)
     def test_shipped_config_loads(self, path):

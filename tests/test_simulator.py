@@ -175,6 +175,26 @@ class TestGenerateField:
         assert peak < 150 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+class TestNumpyStreams:
+    def test_generator_streams_are_pinned(self):
+        # The golden digests rest on these streams. numpy is unpinned, so
+        # when a release changes one, this names the method that moved.
+        def rng():
+            return np.random.default_rng(np.random.SeedSequence((1, 2024)))
+
+        assert rng().random((2, 2)).tolist() == [
+            [0.6221748809975794, 0.3026173358162496],
+            [0.04608867679653572, 0.077942229912908]]
+        assert rng().standard_normal(3).tolist() == [
+            -1.2041464148779897, 1.2538093523274059, 0.6777434263070207]
+        # choice without replacement picks its algorithm by population
+        # and draw size: a draw above 1/50 of a population over 10,000
+        # takes the other one.
+        assert rng().choice(200, 24, replace=False)[:6].tolist() == [41, 88, 165, 110, 178, 172]
+        assert rng().choice(100_000, 12_000, replace=False)[:6].tolist() == [
+            86958, 21384, 38352, 44567, 67652, 47677]
+
+
 class TestNearestNeighbors:
     def test_line_with_self(self):
         positions = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [6.0, 0.0]])
@@ -192,7 +212,7 @@ class TestNearestNeighbors:
         # sensors 1, 2, 3 are all at distance 1 from sensor 0
         _assert_same_sets(neighbors[:1], [[0, 1, 2]])
 
-    def test_self_always_first_when_included(self):
+    def test_self_always_listed_when_included(self):
         rng = np.random.default_rng(0)
         positions = rng.uniform(0.0, 20.0, size=(50, 2))
         neighbors = _nearest_neighbors(positions, 4, include_self=True)
