@@ -11,14 +11,13 @@ seeded repetitions, and writes one CSV row per value.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .decision_rules import LikelihoodThresholds, gammas_from_lambdas
+from .decision_rules import LikelihoodThresholds, ObservationThresholds, gammas_from_lambdas
 from .fusion import FaultModel
 from .optimize import OptimizationResult, minimize_error
 from .signal_model import CODES, Priors, SignalModel
@@ -247,35 +246,35 @@ class SingleRunArtifacts:
     paths: tuple[Path, ...]
 
 
-_Searches = dict[tuple, tuple[LikelihoodThresholds, OptimizationResult | None]]
+@dataclass(frozen=True)
+class _Cell:
+    """A config with its thresholds, their search (None under an override) and detection inputs."""
+
+    config: ExperimentConfig
+    thresholds: LikelihoodThresholds
+    optimization: OptimizationResult | None
+    model: SignalModel
+    gammas: ObservationThresholds
+    spec: FaultSpec | None
+
+    def realize(self, rngs: list[np.random.Generator]) -> RunResult:
+        """Run detection on one stacked field, one realization per generator."""
+        field = generate_field(self.config, rngs)
+        return run_detection(field, self.model, self.gammas, self.spec, rngs)
 
 
-def _prepare_cell(config: ExperimentConfig, searches: _Searches) -> tuple[
-    LikelihoodThresholds,
-    OptimizationResult | None,
-    Callable[[list[np.random.Generator]], RunResult],
-]:
-    """Thresholds for ``config``, the search behind them, and its realization runner.
-
-    ``searches`` maps (objective, override) to the first two, filled on
-    first use. The runner takes one generator per realization, generates
-    their fields as one stacked field and runs detection on it, each
-    realization with its own generator.
-    """
-    key = (config.objective(), config.threshold_override())
-    if key not in searches:
-        objective, override = key
-        optimization = None if override is not None else minimize_error(*objective)
-        searches[key] = (optimization.thresholds if optimization else override, optimization)
-    thresholds, optimization = searches[key]
+def _cell(config: ExperimentConfig, searches: dict[tuple, OptimizationResult]) -> _Cell:
+    """``config``'s cell; ``searches`` maps objectives to searches, and an override runs none."""
+    thresholds, optimization = config.threshold_override(), None
+    if thresholds is None:
+        objective = config.objective()
+        if objective not in searches:
+            searches[objective] = minimize_error(*objective)
+        optimization = searches[objective]
+        thresholds = optimization.thresholds
     model = config.signal_model()
-    gammas = gammas_from_lambdas(model, thresholds)
-    spec = config.fault_spec()
-
-    def realize(rngs: list[np.random.Generator]) -> RunResult:
-        return run_detection(generate_field(config, rngs), model, gammas, spec, rngs)
-
-    return thresholds, optimization, realize
+    return _Cell(config, thresholds, optimization, model,
+                 gammas_from_lambdas(model, thresholds), config.fault_spec())
 
 
 def _format_value(value: object) -> str:
@@ -344,9 +343,9 @@ def run_single(config: ExperimentConfig, output_dir: str | Path) -> SingleRunArt
     """
     out = make_output_dir(Path(output_dir))
 
-    thresholds, optimization, realize = _prepare_cell(config, {})
-    result = realize([np.random.default_rng(config.seed)])
-    spec = config.fault_spec()
+    cell = _cell(config, {})
+    result = cell.realize([np.random.default_rng(config.seed)])
+    thresholds, optimization, spec = cell.thresholds, cell.optimization, cell.spec
 
     no_fault_flags = np.zeros(config.sensor_count, dtype=bool)
     artifacts: list[tuple[str, np.ndarray, np.ndarray]] = [
@@ -473,17 +472,17 @@ def run_sweep(base: ExperimentConfig, param: str, values: list[str]) -> SweepSum
     if not values:
         raise ConfigError("sweep needs at least one value")
     # Every value is checked before the first repetition runs.
-    cells = [_apply_sweep_value(base, param, raw) for raw in values]
+    configs = [_apply_sweep_value(base, param, raw) for raw in values]
     rows = []
-    searches: _Searches = {}
-    for cell, label in cells:
-        thresholds, optimization, realize = _prepare_cell(cell, searches)
+    searches: dict[tuple, OptimizationResult] = {}
+    for config, label in configs:
+        cell = _cell(config, searches)
         key = _cell_key(param, label)
-        batch = max(1, _BATCH_SENSORS // cell.sensor_count)
+        batch = max(1, _BATCH_SENSORS // config.sensor_count)
         sums = np.zeros(4)
-        for start in range(0, cell.repetitions, batch):
-            stop = min(start + batch, cell.repetitions)
-            result = realize([_cell_rng(cell.seed, r, key) for r in range(start, stop)])
+        for start in range(0, config.repetitions, batch):
+            stop = min(start + batch, config.repetitions)
+            result = cell.realize([_cell_rng(config.seed, r, key) for r in range(start, stop)])
             # Added one repetition at a time, in order, so batching
             # leaves every float sum unchanged.
             for rates in zip(
@@ -494,9 +493,9 @@ def run_sweep(base: ExperimentConfig, param: str, values: list[str]) -> SweepSum
             ):
                 sums += rates
             del result  # freed before the next batch is built
-        averages = 100.0 * sums / cell.repetitions
+        averages = 100.0 * sums / config.repetitions
         rows.append(SweepRow(
-            label, *averages.tolist(), thresholds.lambda1, thresholds.lambda2,
-            converged=optimization is None or optimization.converged,
+            label, *averages.tolist(), cell.thresholds.lambda1, cell.thresholds.lambda2,
+            converged=cell.optimization is None or cell.optimization.converged,
         ))
     return SweepSummary(rows=tuple(rows))

@@ -637,14 +637,15 @@ class TestRunSweep:
                    for row in summary.rows)
 
     @pytest.mark.parametrize("run, expected", [
-        # Each cell's two repetitions make one batch.
-        (lambda config, _: run_sweep(config, "sensor_count", ["40", "50", "60"]), (3, 3, 3)),
-        (run_single, (1, 1, 1)),
+        # The three cells share one search; each cell's two repetitions
+        # make one batch.
+        (lambda config, _: run_sweep(config, "sensor_count", ["40", "50", "60"]), (1, 3, 3, 3)),
+        (run_single, (1, 1, 1, 1)),
     ], ids=["sweep", "single"])
     def test_run_path_calls_module_bindings(self, tmp_path, monkeypatch, run, expected):
         # The benchmark tracer counts these calls by patching the names in
         # the harness module, so the run path must look them up there.
-        names = ("generate_field", "run_detection", "gammas_from_lambdas")
+        names = ("minimize_error", "generate_field", "run_detection", "gammas_from_lambdas")
         calls = dict.fromkeys(names, 0)
 
         def counted(name, func):
@@ -655,8 +656,20 @@ class TestRunSweep:
 
         for name in names:
             monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
-        run(small_config(repetitions=2), tmp_path)
+        run(small_config(repetitions=2, lambda1=None, lambda2=None), tmp_path)
         assert tuple(calls.values()) == expected
+
+    def test_cell_memo_holds_only_searches(self):
+        searches = {}
+        overridden = harness._cell(small_config(), searches)
+        assert overridden.optimization is None
+        assert searches == {}
+        searched = small_config(lambda1=None, lambda2=None)
+        first = harness._cell(searched, searches)
+        # Sensor count is not part of the objective, so its cell reuses the search.
+        second = harness._cell(replace(searched, sensor_count=50), searches)
+        assert second.optimization is first.optimization
+        assert list(searches.values()) == [first.optimization]
 
     @pytest.mark.parametrize("fault_mode", ["forced-change", "alpha-table"])
     def test_batch_boundaries_leave_rows_unchanged(self, monkeypatch, fault_mode):
