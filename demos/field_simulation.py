@@ -49,10 +49,11 @@ def main():
     print("ground truth ('.' normal, '1' event 1, '2' event 2):")
     print(render(field.positions, field.truth, config.width, config.height))
     print()
-    print("local decisions, error rate %.1f%%:" % (100 * result.local_error_rate[0]))
+    # error_rates columns: local, clean_final, reported, final.
+    print("local decisions, error rate %.1f%%:" % (100 * result.error_rates[0, 0]))
     print(render(field.positions, result.local, config.width, config.height))
     print()
-    print("fused decisions, error rate %.1f%%:" % (100 * result.final_error_rate[0]))
+    print("fused decisions, error rate %.1f%%:" % (100 * result.error_rates[0, 3]))
     print(render(field.positions, result.final, config.width, config.height))
     print()
 

@@ -361,6 +361,7 @@ def run_single(config: ExperimentConfig, output_dir: str | Path) -> SingleRunArt
         )
     paths = _write_scatter(out, result.field, artifacts)
 
+    ld_bf, fd_bf, ld_af, fd_af = (100.0 * result.error_rates[0]).tolist()
     summary: dict[str, object] = {
         "sensor_count": config.sensor_count,
         "seed": config.seed,
@@ -370,13 +371,14 @@ def run_single(config: ExperimentConfig, output_dir: str | Path) -> SingleRunArt
         "optimizer_objective": "" if optimization is None else optimization.objective_value,
         "optimizer_evaluations": "" if optimization is None else optimization.evaluations,
         "optimizer_converged": "" if optimization is None else optimization.converged,
-        "p_f": 0.0 if spec is None else spec.model.total_probability,
+        # Blank under alphas, whose sum need not be a probability.
+        "p_f": "" if config.alphas is not None else config.p_f,
         "fault_mode": "" if spec is None else spec.mode,
         "fault_count": result.fault_count,
-        "local_error_percent": 100.0 * result.clean_local_error_rate.item(),
-        "final_error_percent": 100.0 * result.clean_final_error_rate.item(),
-        "local_error_faulty_percent": 100.0 * result.local_error_rate.item(),
-        "final_error_faulty_percent": 100.0 * result.final_error_rate.item(),
+        "local_error_percent": ld_bf,
+        "final_error_percent": fd_bf,
+        "local_error_faulty_percent": ld_af,
+        "final_error_faulty_percent": fd_af,
     }
     summary_path = out / "summary.csv"
     _write_csv(summary_path, "key,value", [[k, v] for k, v in summary.items()])
@@ -485,12 +487,7 @@ def run_sweep(base: ExperimentConfig, param: str, values: list[str]) -> SweepSum
             result = cell.realize([_cell_rng(config.seed, r, key) for r in range(start, stop)])
             # Added one repetition at a time, in order, so batching
             # leaves every float sum unchanged.
-            for rates in zip(
-                result.clean_local_error_rate.tolist(),
-                result.clean_final_error_rate.tolist(),
-                result.local_error_rate.tolist(),
-                result.final_error_rate.tolist(),
-            ):
+            for rates in result.error_rates.tolist():
                 sums += rates
             del result  # freed before the next batch is built
         averages = 100.0 * sums / config.repetitions

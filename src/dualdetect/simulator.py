@@ -207,11 +207,11 @@ class FaultSpec:
 class RunResult:
     """One simulated detection round over each realization of a field.
 
-    The headline rates describe the reported (post-fault) decisions and
-    the fusion of those reports; the clean_* rates describe the same
-    realization before fault injection. Without faults the two pairs
-    coincide. The decision arrays follow the field's stacked rows; each
-    rate is an array of one value per realization. ``fault_count`` is the
+    The decision arrays follow the field's stacked rows. Row r of
+    ``error_rates`` is realization r's error of ``local``,
+    ``clean_final``, ``reported`` and ``final`` against the truth, the
+    order of ``sweep.csv``'s ld_bf, fd_bf, ld_af and fd_af. Without
+    faults the before and after columns coincide. ``fault_count`` is the
     total over the stack.
     """
 
@@ -221,10 +221,7 @@ class RunResult:
     faulty: np.ndarray         # bool flags
     final: np.ndarray          # fusion of reported decisions
     clean_final: np.ndarray    # fusion of pre-fault decisions
-    local_error_rate: np.ndarray       # (R,) float64, one per realization
-    final_error_rate: np.ndarray
-    clean_local_error_rate: np.ndarray
-    clean_final_error_rate: np.ndarray
+    error_rates: np.ndarray    # (R, 4) float64
 
     @property
     def fault_count(self) -> int:
@@ -500,9 +497,7 @@ def run_detection(
     final = fuse_decisions(reported, field.neighbors, k)
     clean_final = final if faults is None else fuse_decisions(local, field.neighbors, k)
 
-    def error_rate(decisions: np.ndarray) -> np.ndarray:
-        return (decisions != field.truth).reshape(len(rngs), size).mean(axis=1)
-
+    wrong = np.stack([local, clean_final, reported, final]) != field.truth
     return RunResult(
         field=field,
         local=local,
@@ -510,8 +505,5 @@ def run_detection(
         faulty=faulty,
         final=final,
         clean_final=clean_final,
-        local_error_rate=error_rate(reported),
-        final_error_rate=error_rate(final),
-        clean_local_error_rate=error_rate(local),
-        clean_final_error_rate=error_rate(clean_final),
+        error_rates=wrong.reshape(4, len(rngs), size).mean(axis=2).T,
     )

@@ -84,6 +84,18 @@ GOLDEN_SIMULATE_DIGESTS = {
     },
 }
 
+# The same under the sweep digests' unequal alphas, where summary.csv
+# leaves p_f blank.
+GOLDEN_SIMULATE_ALPHAS_FLAGS = ("--p-f", "0", "--alphas", "0.1,0,0.05,0,0.3,0",
+                                "--fault-mode", "alpha-table")
+GOLDEN_SIMULATE_ALPHAS_DIGESTS = {
+    "final_decisions.csv": "c6e68e55bd3c250e55a2e7ad78b1e41b630762d88d9f1f28d8c46bc6f13978e6",
+    "final_decisions_faulty.csv": "cf8c2fe30febb73ed6af7c23c0306dee748ec67119cccc02410e3e664f0378df",
+    "local_decisions.csv": "1b5176e31853bdf1c659253b57db03f28e60745d2fcc880a698b201d61eb7ea6",
+    "local_decisions_faulty.csv": "470c6207f4968968e9dd94f9d870c6e6e90f4543b09b9ff370594fd70340b0d5",
+    "summary.csv": "2568f14c3bf176f2923e886424d030ff99093710b71477fe98c955fe4999979d",
+}
+
 # sha256 of `optimize` stdout and of the `sweep` CSV; the sweeps run on
 # configs/experiment2.conf with --repetitions 3 plus each key's extra
 # flags. Together they reach every sweep parameter, both fault modes and
@@ -430,9 +442,7 @@ class TestFieldGeometry:
         a, b = results
         for name in ("positions", "truth", "neighbors"):
             np.testing.assert_array_equal(getattr(a.field, name), getattr(b.field, name))
-        for name in ("local_error_rate", "final_error_rate", "clean_local_error_rate",
-                     "clean_final_error_rate"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        np.testing.assert_array_equal(a.error_rates, b.error_rates)
 
 
 class TestRunSingle:
@@ -498,18 +508,44 @@ class TestRunSingle:
         assert artifacts.summary["p_f"] == p_f
         assert artifacts.result.faulty.sum() == faults
 
-    @pytest.mark.parametrize("mode", sorted(GOLDEN_SIMULATE_DIGESTS))
-    def test_seeded_artifacts_match_golden_digests(self, tmp_path, capsys, mode):
+    @pytest.mark.parametrize("overrides, written", [
+        ({}, "0.0"),
+        ({"p_f": 0.12}, "0.12"),
+        # Six alphas that add up to 2: the line is left blank, not 2.0.
+        ({"alphas": (0.5, 0.5, 0.5, 0.5, 0.0, 0.0), "fault_mode": "alpha-table"}, ""),
+    ], ids=["no-faults", "p_f", "alphas"])
+    def test_summary_p_f_is_configured_p_f(self, tmp_path, overrides, written):
+        run_single(small_config(**overrides), tmp_path)
+        _, rows = read_csv(tmp_path / "summary.csv")
+        assert {row[0]: row[1] for row in rows}["p_f"] == written
+
+    def test_summary_percentages_follow_error_rates(self, tmp_path):
+        artifacts = run_single(small_config(p_f=0.12, sensor_count=200), tmp_path)
+        keys = ("local_error_percent", "final_error_percent",
+                "local_error_faulty_percent", "final_error_faulty_percent")
+        assert SWEEP_CSV_HEADER.split(",")[1:5] == ["ld_bf", "fd_bf", "ld_af", "fd_af"]
+        percents = [artifacts.summary[key] for key in keys]
+        assert percents == (100.0 * artifacts.result.error_rates[0]).tolist()
+        assert percents[:2] != percents[2:]
+
+    @staticmethod
+    def _simulate_digests(tmp_path, capsys, *flags):
         code = main([
             "simulate", "--config", str(CONFIGS / "experiment2.conf"),
-            "--fault-mode", mode, "--output-dir", str(tmp_path),
+            *flags, "--output-dir", str(tmp_path),
         ])
         capsys.readouterr()
         assert code == 0
-        digests = {
-            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
-        }
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+
+    @pytest.mark.parametrize("mode", sorted(GOLDEN_SIMULATE_DIGESTS))
+    def test_seeded_artifacts_match_golden_digests(self, tmp_path, capsys, mode):
+        digests = self._simulate_digests(tmp_path, capsys, "--fault-mode", mode)
         assert digests == GOLDEN_SIMULATE_DIGESTS[mode]
+
+    def test_alphas_artifacts_match_golden_digests(self, tmp_path, capsys):
+        digests = self._simulate_digests(tmp_path, capsys, *GOLDEN_SIMULATE_ALPHAS_FLAGS)
+        assert digests == GOLDEN_SIMULATE_ALPHAS_DIGESTS
 
     @pytest.mark.parametrize("conf", sorted(GOLDEN_OPTIMIZE_DIGESTS))
     def test_optimize_stdout_matches_golden_digest(self, capsys, conf):

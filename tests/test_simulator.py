@@ -24,8 +24,8 @@ from dualdetect.decision_rules import LikelihoodThresholds
 from dualdetect.fusion import quorum_label
 from dualdetect.simulator import _inject_faults, _nearest_neighbors
 
-RATES = ("local_error_rate", "final_error_rate", "clean_local_error_rate",
-         "clean_final_error_rate")
+# The decision arrays error_rates scores, in its column order.
+RATED = ("local", "clean_final", "reported", "final")
 
 
 def _layout(name, count, rng):
@@ -498,14 +498,15 @@ class TestRunDetection:
         np.testing.assert_array_equal(result.reported, result.local)
         np.testing.assert_array_equal(result.final, result.clean_final)
         assert result.fault_count == 0
-        assert result.local_error_rate[0] == result.clean_local_error_rate[0]
+        np.testing.assert_array_equal(result.error_rates[:, :2], result.error_rates[:, 2:])
 
     def test_error_rates_match_arrays(self):
         result = self._run()
-        for name in RATES:
-            assert getattr(result, name).shape == (1,)
-        assert result.local_error_rate[0] == np.mean(result.reported != result.field.truth)
-        assert result.final_error_rate[0] == np.mean(result.final != result.field.truth)
+        assert result.error_rates.shape == (1, 4)
+        assert result.error_rates.dtype == np.float64
+        for column, name in enumerate(RATED):
+            wrong = getattr(result, name) != result.field.truth
+            assert result.error_rates[0, column] == np.mean(wrong)
 
     def test_wide_separation_with_self_fusion_is_exact(self):
         model = SignalModel(0.0, 30.0, 60.0)
@@ -513,8 +514,7 @@ class TestRunDetection:
         config = FieldConfig(neighborhood_size=1, quorum=1)
         rngs = [np.random.default_rng(5)]
         result = run_detection(generate_field(config, rngs), model, gammas, None, rngs)
-        assert result.local_error_rate[0] == 0.0
-        assert result.final_error_rate[0] == 0.0
+        np.testing.assert_array_equal(result.error_rates, 0.0)
 
     def test_forced_change_count_exact(self):
         faults = FaultSpec(FaultModel.uniform_split(0.12), "forced-change")
@@ -558,14 +558,16 @@ class TestRunDetection:
         clean = self._run()
         faulty = self._run(faults=faults)
         np.testing.assert_array_equal(clean.local, faulty.local)
-        assert clean.clean_local_error_rate[0] == faulty.clean_local_error_rate[0]
+        np.testing.assert_array_equal(clean.clean_final, faulty.clean_final)
+        # ld_bf and fd_bf, the before-fault columns.
+        np.testing.assert_array_equal(clean.error_rates[:, :2], faulty.error_rates[:, :2])
 
     def test_fusion_reduces_error_on_average(self):
         local_rates, final_rates = [], []
         for seed in range(20):
             result = self._run(seed=seed)
-            local_rates.append(result.local_error_rate[0])
-            final_rates.append(result.final_error_rate[0])
+            local_rates.append(result.error_rates[0, 2])
+            final_rates.append(result.error_rates[0, 3])
         assert np.mean(final_rates) < np.mean(local_rates)
 
     @pytest.mark.parametrize("mode", [None, "forced-change", "alpha-table"])
@@ -584,10 +586,25 @@ class TestRunDetection:
             _assert_same_sets(batch.field.neighbors[rows], single.field.neighbors + r * 90)
             for name in ("local", "reported", "faulty", "final", "clean_final"):
                 np.testing.assert_array_equal(getattr(batch, name)[rows], getattr(single, name))
-            for name in RATES:
-                assert getattr(batch, name).shape == (len(seeds),)
-                assert getattr(batch, name)[r] == getattr(single, name)[0]
+            np.testing.assert_array_equal(batch.error_rates[r], single.error_rates[0])
+        assert batch.error_rates.shape == (len(seeds), 4)
         assert batch.fault_count == sum(single.fault_count for single in alone)
+
+    def test_error_rate_columns_follow_sweep_csv(self):
+        # Columns ld_bf, fd_bf, ld_af, fd_af: local, clean_final,
+        # reported and final, each against truth over one realization's rows.
+        faults = FaultSpec(FaultModel.uniform_split(0.24), "forced-change")
+        config = FieldConfig(sensor_count=90)
+        rngs = [np.random.default_rng(seed) for seed in (3, 4, 5)]
+        result = run_detection(generate_field(config, rngs), self.model, self.gammas, faults, rngs)
+        assert result.error_rates.shape == (3, 4)
+        truth = result.field.truth.reshape(3, 90)
+        for r in range(3):
+            expected = [np.mean(getattr(result, name).reshape(3, 90)[r] != truth[r])
+                        for name in RATED]
+            assert result.error_rates[r].tolist() == expected
+        # Faults move the after-fault columns in this batch.
+        assert not np.array_equal(result.error_rates[:, :2], result.error_rates[:, 2:])
 
     def test_generators_must_match_field(self):
         rngs = [np.random.default_rng(seed) for seed in (1, 2)]
