@@ -82,6 +82,29 @@ _FLAG_OPTIONS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose value options take the next token, whatever it starts with.
+
+    argparse reads a token that starts with '-' as an option unless the
+    whole token is a plain negative number such as -1 or -.5, so
+    ``--m0 -1e-3`` would be refused where ``--m0=-1e-3`` and the file's
+    ``m0 = -1e-3`` parse. Each ``FLAG VALUE`` pair whose FLAG is in
+    value_flags is joined into ``FLAG=VALUE`` before parsing; a FLAG
+    given last is left for argparse to refuse.
+    """
+
+    value_flags: frozenset[str] = frozenset()
+
+    def parse_known_args(self, args=None, namespace=None):
+        tokens = iter(sys.argv[1:] if args is None else args)
+        joined = []
+        for token in tokens:
+            if token in self.value_flags and (value := next(tokens, None)) is not None:
+                token = f"{token}={value}"
+            joined.append(token)
+        return super().parse_known_args(joined, namespace)
+
+
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
@@ -179,43 +202,51 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _build_parser() -> _Parser:
+    parser = _Parser(
         prog="dualdetect",
         description="Fault-tolerant fusion of ternary sensor decisions for two concurrent events",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    value_flags = []
+
+    def add(p: argparse.ArgumentParser, flag: str, **kwargs) -> None:
+        """Declare an option that takes one value."""
+        p.add_argument(flag, **kwargs)
+        value_flags.append(flag)
+
     # The config options, declared once and shared by optimize, simulate and sweep.
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", metavar="FILE", help="flat key = value config file")
+    add(shared, "--config", metavar="FILE", help="flat key = value config file")
     for key in CONFIG_KEYS:
-        shared.add_argument(_flag(key), default=None, dest=key, **_FLAG_OPTIONS.get(key, {}))
+        add(shared, _flag(key), default=None, dest=key, **_FLAG_OPTIONS.get(key, {}))
 
     p_opt = sub.add_parser("optimize", help="search likelihood-ratio thresholds", parents=[shared])
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_sim = sub.add_parser("simulate", help="run one seeded field realization", parents=[shared])
-    p_sim.add_argument("--output-dir", default="runs", help="directory for CSV artifacts")
+    add(p_sim, "--output-dir", default="runs", help="directory for CSV artifacts")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_sweep = sub.add_parser(
         "sweep", help="average error rates across one parameter", parents=[shared],
     )
-    p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMS)
-    p_sweep.add_argument(
-        "--values", required=True,
+    add(p_sweep, "--param", required=True, choices=SWEEP_PARAMS)
+    add(
+        p_sweep, "--values", required=True,
         help="comma-separated values; use '/' inside one value for tuples, e.g. 5/3",
     )
-    p_sweep.add_argument("--output", default="sweep.csv", help="sweep CSV path")
+    add(p_sweep, "--output", default="sweep.csv", help="sweep CSV path")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_oracle = sub.add_parser(
         "oracle-check", help="compare fusion closed forms with exhaustive enumeration",
     )
-    p_oracle.add_argument("--n", type=int, default=5)
-    p_oracle.add_argument("--k", type=int, default=3)
+    add(p_oracle, "--n", type=int, default=5)
+    add(p_oracle, "--k", type=int, default=3)
     p_oracle.set_defaults(func=_cmd_oracle_check)
 
+    parser.value_flags = frozenset(value_flags)
     return parser
 
 

@@ -5,8 +5,8 @@ so the search runs in log-threshold space in two stages: a coarse
 uniform grid to locate the basin, then a derivative-free pattern search
 that shrinks its step until the requested resolution. Both stages are
 fully deterministic, and both are scored in array calls of the closed
-form: the whole lattice in one call, each compass round's four
-candidates in one call.
+form: the lattice in blocks of at most LATTICE_BLOCK_ROWS rows, each
+compass round's four candidates in one call.
 """
 
 from __future__ import annotations
@@ -30,6 +30,13 @@ GRID_POINTS = 101
 INITIAL_STEP = 0.1
 MIN_STEP = 1e-6
 MAX_REFINE_EVALUATIONS = 10_000
+# Lattice rows scored per objective call. A call's largest temporary is
+# its (3, 3, rows, GRID_POINTS) float64 decision matrix, 7,272 bytes a
+# row at 101 points: 18 rows keep it under glibc's default 128 KiB mmap
+# threshold, so malloc recycles each block's memory for the next block
+# instead of mapping and faulting in fresh pages. The closed form is
+# elementwise, so the lattice's values do not depend on the block size.
+LATTICE_BLOCK_ROWS = 18
 
 _exp = elementwise(math.exp)
 
@@ -77,12 +84,15 @@ def minimize_error(
         return prob_error_faulty(model, priors, lambdas, params, faults)
 
     # Stage 1: coarse lattice, rows over ln lambda1 and columns over
-    # ln lambda2. The first row-major argmin is the smallest-(u, v) tie
-    # break.
+    # ln lambda2, scored in consecutive row blocks. The first row-major
+    # argmin is the smallest-(u, v) tie break.
     span = hi - lo
     axis = [lo + span * i / (GRID_POINTS - 1) for i in range(GRID_POINTS)]
     column = np.array(axis)
-    lattice = objective(column[:, None], column[None, :])
+    lattice = np.concatenate([
+        objective(column[a:a + LATTICE_BLOCK_ROWS, None], column[None, :])
+        for a in range(0, GRID_POINTS, LATTICE_BLOCK_ROWS)
+    ])
     row, col = divmod(int(np.argmin(lattice)), GRID_POINTS)
     best_u, best_v = axis[row], axis[col]
     best_f = float(lattice[row, col])

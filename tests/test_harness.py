@@ -266,6 +266,21 @@ class TestKeyParity:
         assert from_file == from_flags
         assert from_file != ExperimentConfig()
 
+    @pytest.mark.parametrize("argv", [["--m0", "-1e-3"], ["--m0=-1e-3"], ["--m0", "-.001"]])
+    def test_negative_value_in_every_form(self, tmp_path, argv):
+        # argparse alone reads "-1e-3" as an option, not as --m0's value.
+        conf = tmp_path / "case.conf"
+        conf.write_text("m0 = -1e-3\n")
+        from_file = load_config(conf)
+        assert from_file.m0 == -1e-3
+        assert _load(_build_parser().parse_args(["optimize", *argv])) == from_file
+
+    def test_value_flag_given_last_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--m0"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["--sensor-count", "many"],
         ["--event1-region", "1,2,3"],
@@ -964,6 +979,18 @@ class TestCli:
         assert code == 2
         assert str(blocker) in capsys.readouterr().err
         assert sweeps == []
+
+    def test_sweep_negative_means(self, tmp_path, capsys):
+        csvs = []
+        for values in (["--values", "-0.5/1/2"], ["--values=-0.5/1/2"]):
+            out = tmp_path / f"sweep{len(csvs)}.csv"
+            code = main(["sweep", "--param", "means", *values, "--repetitions", "1",
+                         "--sensor-count", "60", "--lambda1", "1.0", "--lambda2", "1.9",
+                         "--output", str(out)])
+            assert code == 0
+            csvs.append(out.read_bytes())
+        assert capsys.readouterr().out.count("means=-0.5/1.0/2.0:") == 2
+        assert csvs[0] == csvs[1]
 
     def test_alphas_flag(self, tmp_path, capsys):
         out = tmp_path / "runs"

@@ -1,6 +1,10 @@
 """Threshold search: reproduction targets, determinism, edge cases."""
 
 import math
+import platform
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -232,3 +236,44 @@ class TestLatticeSearch:
         faults = None if p_f is None else FaultModel.uniform_split(p_f)
         expected = reference_search(model, priors, params, faults)
         assert _bits(minimize_error(model, priors, params, faults)) == _bits(expected)
+
+
+class TestSearchMemory:
+    """The lattice is scored in row blocks small enough for malloc to recycle."""
+
+    @pytest.mark.parametrize("name", ["experiment1", "experiment2"])
+    def test_traced_peak_is_bounded(self, name):
+        # Scored in one call, the 101 x 101 lattice's temporaries peak
+        # near 2.1 MiB; in blocks of 18 rows, near 0.5 MiB.
+        objective = load_config(CONFIGS / f"{name}.conf").objective()
+        tracemalloc.start()
+        try:
+            minimize_error(*objective)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="counts faults at glibc's default malloc thresholds")
+    def test_repeat_search_reuses_freed_heap(self):
+        # A library caller keeps glibc's default thresholds, which map
+        # blocks above 128 KiB afresh and unmap them on free. Scored in
+        # one call, ten searches fault in about 6,600 pages; in blocks,
+        # about none. A fresh process without cli.main, which raises the
+        # thresholds, and one warm-up search.
+        script = (
+            "import resource, sys\n"
+            "from dualdetect import load_config, minimize_error\n"
+            f"objective = load_config({str(CONFIGS / 'experiment2.conf')!r}).objective()\n"
+            "minimize_error(*objective)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(10):\n"
+            "    minimize_error(*objective)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, file=sys.stderr)\n"
+        )
+        completed = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                   text=True, timeout=120)
+        assert completed.returncode == 0, completed.stderr
+        faults = int(completed.stderr.split()[-1])
+        assert faults < 300, f"{faults} minor faults"
