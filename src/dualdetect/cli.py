@@ -62,8 +62,9 @@ ORACLE_TOLERANCE = 1e-10
 # glibc's malloc hands freed memory above its trim threshold at the top
 # of the heap back to the kernel, and serves blocks above its mmap
 # threshold from fresh mappings that are unmapped on free. At the
-# defaults a sweep's neighbour search, whose chunks allocate and free
-# about 1.5 MB of numpy temporaries each, faults the same pages in again
+# defaults a sweep's neighbour search, whose chunks each hold up to
+# about 0.8 MiB of numpy temporaries at once (256 KiB arrays, past the
+# default mmap threshold) and free them, faults the same pages in again
 # chunk after chunk. Any mallopt call also turns off glibc's dynamic
 # mmap threshold, so both are set: raising the trim threshold alone
 # doubles the faults of a 100,000-sensor simulate.
@@ -90,7 +91,9 @@ class _Parser(argparse.ArgumentParser):
     ``--m0 -1e-3`` would be refused where ``--m0=-1e-3`` and the file's
     ``m0 = -1e-3`` parse. Each ``FLAG VALUE`` pair whose FLAG is in
     value_flags is joined into ``FLAG=VALUE`` before parsing; a FLAG
-    given last is left for argparse to refuse.
+    given last is left for argparse to refuse. Every parser is built
+    with ``allow_abbrev=False``, so a flag is only ever its full name,
+    the one this join knows.
     """
 
     value_flags: frozenset[str] = frozenset()
@@ -206,8 +209,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(
         prog="dualdetect",
         description="Fault-tolerant fusion of ternary sensor decisions for two concurrent events",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
     value_flags = []
 
     def add(p: argparse.ArgumentParser, flag: str, **kwargs) -> None:
@@ -221,14 +226,14 @@ def _build_parser() -> _Parser:
     for key in CONFIG_KEYS:
         add(shared, _flag(key), default=None, dest=key, **_FLAG_OPTIONS.get(key, {}))
 
-    p_opt = sub.add_parser("optimize", help="search likelihood-ratio thresholds", parents=[shared])
+    p_opt = add_parser("optimize", help="search likelihood-ratio thresholds", parents=[shared])
     p_opt.set_defaults(func=_cmd_optimize)
 
-    p_sim = sub.add_parser("simulate", help="run one seeded field realization", parents=[shared])
+    p_sim = add_parser("simulate", help="run one seeded field realization", parents=[shared])
     add(p_sim, "--output-dir", default="runs", help="directory for CSV artifacts")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_sweep = sub.add_parser(
+    p_sweep = add_parser(
         "sweep", help="average error rates across one parameter", parents=[shared],
     )
     add(p_sweep, "--param", required=True, choices=SWEEP_PARAMS)
@@ -239,7 +244,7 @@ def _build_parser() -> _Parser:
     add(p_sweep, "--output", default="sweep.csv", help="sweep CSV path")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_oracle = sub.add_parser(
+    p_oracle = add_parser(
         "oracle-check", help="compare fusion closed forms with exhaustive enumeration",
     )
     add(p_oracle, "--n", type=int, default=5)

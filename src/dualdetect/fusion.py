@@ -212,11 +212,12 @@ def fusion_quality(metrics: LocalMetrics, params: FusionParams) -> FusionQuality
 def fuse_decisions(reported: np.ndarray, neighbors: np.ndarray, k: int) -> np.ndarray:
     """Modified k-out-of-n fusion of each node's neighborhood votes."""
     # One neighbour column at a time: short passes over long arrays, with
-    # no (N, n) gather of the votes.
+    # no (N, n) gather of the votes. take converts an int32 column to
+    # intp about twice as fast as indexing does.
     count1 = np.zeros(len(neighbors), dtype=np.intp)
     count2 = np.zeros(len(neighbors), dtype=np.intp)
     for column in neighbors.T:
-        votes = reported[column]
+        votes = reported.take(column)
         count1 += votes == 1
         count2 += votes == -1
     return quorum_label(count1, count2, k)

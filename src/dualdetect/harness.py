@@ -11,6 +11,7 @@ seeded repetitions, and writes one CSV row per value.
 from __future__ import annotations
 
 import hashlib
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -302,6 +303,9 @@ def make_output_dir(path: Path) -> Path:
 _SCATTER_SUFFIXES = np.array(
     [f"{code},{flag}\n" for code in CODES for flag in (0, 1)], dtype=object
 )
+# Rows formatted at a time: a block's strings take a few MiB, so the
+# writer's memory follows the field's arrays, not the text.
+_SCATTER_BLOCK_ROWS = 2**16
 
 
 def _write_scatter(
@@ -309,27 +313,31 @@ def _write_scatter(
 ) -> list[Path]:
     """Write one x,y,truth,decision,faulty CSV per (name, decisions, flags).
 
-    The files share x, y and truth, so those are formatted once, into
-    the odd slots of one list of parts after the header; each file
-    fills the even slots with its row ends and joins the list. Python
-    floats' repr is the shortest string that reads back exactly.
+    Rows go out in blocks of ``_SCATTER_BLOCK_ROWS``, appended to every
+    file in turn. The files share x, y and truth, so a block's row
+    prefixes are formatted once, into the even slots of a list of parts;
+    each file fills the odd slots with its row ends and writes the
+    joined block. Python floats' repr is the shortest string that reads
+    back exactly.
     """
-    parts = [""] * (2 * field.truth.size + 1)
-    parts[0] = f"{SCATTER_CSV_HEADER}\n"
-    parts[1::2] = [
-        f"{x!r},{y!r},{t},"
-        for x, y, t in zip(
-            field.positions[:, 0].tolist(),
-            field.positions[:, 1].tolist(),
-            field.truth.tolist(),
-        )
-    ]
-    paths = []
-    for name, decisions, flags in files:
-        parts[2::2] = _SCATTER_SUFFIXES[2 * (decisions % 3) + flags].tolist()
-        path = out / name
-        path.write_text("".join(parts))
-        paths.append(path)
+    paths = [out / name for name, _, _ in files]
+    positions, truth = field.positions, field.truth
+    with ExitStack() as stack:
+        handles = [stack.enter_context(path.open("w")) for path in paths]
+        for handle in handles:
+            handle.write(f"{SCATTER_CSV_HEADER}\n")
+        for a in range(0, truth.size, _SCATTER_BLOCK_ROWS):
+            b = a + _SCATTER_BLOCK_ROWS
+            parts = [""] * (2 * truth[a:b].size)
+            parts[::2] = [
+                f"{x!r},{y!r},{t},"
+                for x, y, t in zip(
+                    positions[a:b, 0].tolist(), positions[a:b, 1].tolist(), truth[a:b].tolist()
+                )
+            ]
+            for handle, (_, decisions, flags) in zip(handles, files):
+                parts[1::2] = _SCATTER_SUFFIXES[2 * (decisions[a:b] % 3) + flags[a:b]].tolist()
+                handle.write("".join(parts))
     return paths
 
 

@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 FAULT_MODES = ("forced-change", "alpha-table")
+# Neighbour lists hold int32 sensor indices, so no field, stacked or
+# not, may have more sensors than this.
+_MAX_SENSORS = int(np.iinfo(np.int32).max)
 
 
 @dataclass(frozen=True)
@@ -127,6 +130,9 @@ class FieldConfig:
             )
         if self.sensor_count < 1:
             raise ValueError(f"sensor_count must be positive, got {self.sensor_count}")
+        if self.sensor_count > _MAX_SENSORS:
+            raise ValueError(
+                f"sensor_count must be at most {_MAX_SENSORS}, got {self.sensor_count}")
         for name in ("event1_region", "event2_region"):
             region = getattr(self, name)
             if not isinstance(region, Rectangle):
@@ -153,13 +159,14 @@ class SensorField:
 
     A field may stack R realizations of ``config``: realization r holds
     rows r*N ... r*N+N-1 of each array, N being ``config.sensor_count``,
-    and its neighbor lists index only those rows.
+    and its neighbor lists index only those rows. The lists are int32,
+    4 bytes per index, so a stack holds at most 2**31 - 1 sensors.
     """
 
     config: FieldConfig
     positions: np.ndarray    # (R*N, 2) float64
     truth: np.ndarray        # (R*N,) int8 decision codes
-    neighbors: np.ndarray    # (R*N, n) int64, each row a set in no order
+    neighbors: np.ndarray    # (R*N, n) int32, each row a set in no order
 
 
 # Each FaultModel.matrix row's off-diagonal columns in ascending order.
@@ -236,7 +243,7 @@ _CHUNK_CANDIDATES = 2**15
 def _nearest_neighbors(
     positions: np.ndarray, n: int, include_self: bool, realizations: int = 1
 ) -> np.ndarray:
-    """Each sensor's n nearest sensors, a set of indices in no order.
+    """Each sensor's n nearest sensors, an int32 row of indices in no order.
 
     ``positions`` stacks ``realizations`` fields of equal size: field r
     holds rows r*N ... r*N+N-1, and its neighbour sets stay within
@@ -279,6 +286,8 @@ def _nearest_neighbors(
     O(r) integers per pending row and the result O(N*n).
     """
     count = positions.shape[0]
+    if count > _MAX_SENSORS:
+        raise ValueError(f"cannot index {count} sensors with int32, at most {_MAX_SENSORS}")
     size, rest = divmod(count, realizations)
     if rest:
         raise ValueError(f"cannot split {count} sensors into {realizations} equal fields")
@@ -320,7 +329,7 @@ def _nearest_neighbors(
     ids = np.append(by_cell, count)
     del cell_xy, field_column, cell, by_cell  # not read again; freed for the rounds
 
-    neighbors = np.empty((count, n), dtype=np.int64)
+    neighbors = np.empty((count, n), dtype=np.int32)
     rows = np.arange(count)
     r = 1
     while rows.size:
@@ -330,6 +339,7 @@ def _nearest_neighbors(
         edges = np.flatnonzero(np.concatenate(([True], cells[1:] != cells[:-1], [True])))
         head, sizes = edges[:-1], edges[1:] - edges[:-1]
         field_column, cy = np.divmod(cells[head], shape[1])
+        del cells, edges
         ring = np.arange(-r, r + 1)
         in_field = (field_column % shape[0])[:, None] + ring
         inside = (in_field >= 0) & (in_field < shape[0])
@@ -339,7 +349,7 @@ def _nearest_neighbors(
         starts = bounds[np.where(inside, first, 0)]
         lengths = bounds[np.where(inside, stop, 0)] - starts
         widths = lengths.sum(axis=1)
-        del in_field, inside, columns, first, stop
+        del field_column, cy, in_field, inside, columns, first, stop
         order = np.argsort(widths)
         starts, lengths, widths = starts[order], lengths[order], widths[order]
         head, sizes = head[order], sizes[order]
@@ -396,7 +406,10 @@ def _settle_chunk(
     d2 += np.square(np.subtract(ys[chunk, None], dy, out=dy), out=dy)
     if not include_self:
         d2[cand == chunk[:, None]] = np.inf
-    nth = np.partition(d2, n - 1, axis=1)[:, n - 1]
+    # dy is free once summed: partition a copy of d2 in it.
+    np.copyto(dy, d2)
+    dy.partition(n - 1, axis=1)
+    nth = dy[:, n - 1]
     done = nth < bound
     within = d2 <= nth[:, None]
     tied = done & (within.sum(axis=1) > n)

@@ -304,6 +304,28 @@ class TestKeyParity:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--event1-reg", "-1,0,2,2"],
+        ["optimize", "--event1-reg=-1,0,2,2"],
+        ["optimize", "--sensor-c", "300"],
+        ["optimize", "--sensor-c=300"],
+        ["simulate", "--output-d", "runs"],
+        ["sweep", "--param", "p_f", "--values", "0.1", "--out", "sweep.csv"],
+    ])
+    def test_abbreviated_flags_rejected(self, argv, capsys):
+        # A flag is its full name in both spellings. With argparse's
+        # prefix matching, "--event1-reg=-1,0,2,2" parsed while
+        # "--event1-reg -1,0,2,2" took "-1,0,2,2" for an option.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--event1-region", "1,0,3,2"], ["--event1-region=1,0,3,2"]])
+    def test_full_flag_in_both_spellings(self, argv):
+        config = _load(_build_parser().parse_args(["optimize", *argv]))
+        assert config.event1_region == Rectangle(1.0, 0.0, 3.0, 2.0)
+
     def test_readme_table_names_every_key(self):
         text = (ROOT / "README.md").read_text(encoding="utf-8")
         section = text.split("\n## Configuration files\n", 1)[1].split("\n## ", 1)[0]
@@ -420,6 +442,23 @@ class TestConfigValidation:
             seed=np.int64(2), repetitions=np.uint8(4),
         )
         assert (config.sensor_count, config.seed, config.repetitions) == (200, 2, 4)
+
+    def test_oversized_sensor_count_refused_before_allocating(self, tmp_path, capsys):
+        # Neighbour lists are int32. Positions for 2**31 sensors alone
+        # would take 32 GiB; the config refuses the count first.
+        with pytest.raises(ConfigError, match="sensor_count must be at most 2147483647"):
+            ExperimentConfig(sensor_count=2**31)
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--sensor-count", str(2**31), "--output-dir",
+                         str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "sensor_count must be at most" in capsys.readouterr().err
+        assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert not (tmp_path / "out").exists()
 
     def test_alphas_define_fault_probability(self):
         config = ExperimentConfig(alphas=(0.02,) * 6)
@@ -631,6 +670,22 @@ class TestRunSingle:
             expected = reference_scatter_csv(result.field.positions, result.field.truth,
                                              decisions, faulty)
             assert (tmp_path / name).read_text() == expected, name
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @pytest.mark.parametrize("faults", [{}, {"p_f": 0.24}, {"p_f": 0.24, "fault_mode": "alpha-table"}],
+                             ids=["no-fault", "forced-change", "alpha-table"])
+    def test_scatter_blocks_write_the_same_bytes(self, tmp_path, monkeypatch, faults, block):
+        # 80 rows: many blocks, the last one short at 3 and 7.
+        config = small_config(**faults)
+        run_single(config, tmp_path / "default")
+        monkeypatch.setattr(harness, "_SCATTER_BLOCK_ROWS", block)
+        run_single(config, tmp_path / "blocks")
+        names = sorted(p.name for p in (tmp_path / "default").iterdir())
+        assert len(names) == (3 if not faults else 5)
+        assert sorted(p.name for p in (tmp_path / "blocks").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "blocks" / name).read_bytes() == (
+                tmp_path / "default" / name).read_bytes(), name
 
     def test_before_fault_files_are_clean(self, tmp_path):
         run_single(small_config(p_f=0.24), tmp_path)

@@ -116,6 +116,11 @@ class TestFieldConfig:
         with pytest.raises(ValueError):
             FieldConfig(sensor_count=5, include_self=False)
 
+    def test_sensor_count_must_fit_int32_neighbour_lists(self):
+        with pytest.raises(ValueError, match="sensor_count must be at most 2147483647"):
+            FieldConfig(sensor_count=2**31)
+        assert FieldConfig(sensor_count=2**31 - 1).sensor_count == 2**31 - 1
+
     @pytest.mark.parametrize(("width", "height"), [(1e160, 1e160), (1e154, 1e154), (1.4e308, 1.0)])
     def test_squared_dimensions_must_not_overflow(self, width, height):
         # A squared distance across such a field overflows to inf, and the
@@ -173,6 +178,27 @@ class TestGenerateField:
         assert field.neighbors.shape == (20_000, 5)
         assert (field.neighbors == np.arange(20_000)[:, None]).any(axis=1).all()
         assert peak < 150 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_neighbors_are_int32(self):
+        field = generate_field(FieldConfig(), [np.random.default_rng(3), np.random.default_rng(4)])
+        assert field.neighbors.dtype == np.int32
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_sweep_batch_memory(self, include_self):
+        # A count-sweep batch: 40 realizations of 200 sensors. With int64
+        # neighbour lists and a fresh copy of each chunk's distances to
+        # partition, the peak was 2.48 MiB; it is 1.95 MiB.
+        config = FieldConfig(include_self=include_self)
+        generate_field(config, [np.random.default_rng(0)])  # one-time allocations
+        rngs = [np.random.default_rng(seed) for seed in range(1, 41)]
+        tracemalloc.start()
+        try:
+            field = generate_field(config, rngs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert field.neighbors.shape == (8_000, 5)
+        assert peak < 2.2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestNumpyStreams:
@@ -267,10 +293,18 @@ class TestNearestNeighbors:
         assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
         _assert_same_sets(neighbors, _kd_tree_neighbors(positions, 5, True))
 
+    def test_stack_beyond_int32_is_refused(self):
+        # A zero-stride view: 2**31 rows with 16 bytes behind them. Int32
+        # neighbour lists would wrap past 2**31 - 1 sensors.
+        positions = np.broadcast_to(np.zeros(2), (2**31, 2))
+        with pytest.raises(ValueError, match="at most 2147483647"):
+            _nearest_neighbors(positions, 5, True, realizations=2**11)
+
     @pytest.mark.parametrize("include_self", [True, False])
     def test_large_uniform_field_memory(self, include_self):
         # The set-up arrays and each round's block bounds are freed once
-        # read; kept through the chunk loop they peaked at 21.5 MiB here.
+        # read, and the lists are int32: 13.3 MiB here. Kept through the
+        # chunk loop, the arrays peaked at 21.5 MiB, and int64 lists at 15.9.
         positions = np.random.default_rng(22).uniform(0.0, 20.0, size=(100_000, 2))
         tracemalloc.start()
         try:
@@ -278,7 +312,7 @@ class TestNearestNeighbors:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 18 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < 15 * 2**20, f"peak {peak / 2**20:.1f} MiB"
         assert neighbors.shape == (100_000, 5)
 
     @pytest.mark.parametrize("include_self", [True, False])
