@@ -5,8 +5,9 @@ so the search runs in log-threshold space in two stages: a coarse
 uniform grid to locate the basin, then a derivative-free pattern search
 that shrinks its step until the requested resolution. Both stages are
 fully deterministic, and both are scored in array calls of the closed
-form: the lattice in blocks of at most LATTICE_BLOCK_ROWS rows, each
-compass round's four candidates in one call.
+form: the lattice in blocks of at most LATTICE_BLOCK_ROWS rows, and
+each compass round's four candidates in one call with those of every
+halving that would follow it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ class OptimizationResult:
     converged is False when the pattern search exhausted its evaluation
     budget before reaching the minimum step; the best point found so
     far is still reported. evaluations counts each lattice point once
-    plus four per compass round.
+    plus four per compass round the search takes; candidates that an
+    objective call scored for later halvings and the search then
+    discarded are not counted.
     """
 
     lambda1: float
@@ -74,7 +77,10 @@ def minimize_error(
     (ln lambda1, ln lambda2) pair. Stage 2 runs a compass pattern search
     from the best lattice point, halving the step whenever no axis move
     improves, until the step drops below MIN_STEP or the refinement
-    evaluation budget is spent.
+    evaluation budget is spent. A round that does not move keeps the
+    centre, so one objective call scores a round and all the halvings
+    after it; the rounds are replayed in order up to the first move,
+    with the result of one call per round.
     """
     lo, hi = LOG_BOUNDS
 
@@ -99,30 +105,38 @@ def minimize_error(
 
     # Stage 2: compass search, clamped to the lattice bounds. The lowest
     # of the four candidates moves the centre if it beats it; ties go to
-    # the earlier candidate.
+    # the earlier candidate. Each call scores a round and the halvings
+    # after it, down to MIN_STEP and within the budget; rounds past the
+    # first move are discarded.
     refine_used = 0
     step = INITIAL_STEP
     while step >= MIN_STEP and refine_used + 4 <= MAX_REFINE_EVALUATIONS:
+        steps = [step]
+        while (steps[-1] / 2.0 >= MIN_STEP
+               and refine_used + 4 * (len(steps) + 1) <= MAX_REFINE_EVALUATIONS):
+            steps.append(steps[-1] / 2.0)
         candidates = [
             (min(max(u, lo), hi), min(max(v, lo), hi))
+            for s in steps
             for u, v in (
-                (best_u + step, best_v),
-                (best_u - step, best_v),
-                (best_u, best_v + step),
-                (best_u, best_v - step),
+                (best_u + s, best_v),
+                (best_u - s, best_v),
+                (best_u, best_v + s),
+                (best_u, best_v - s),
             )
         ]
         us, vs = np.array(candidates).T
         values = objective(us, vs).tolist()
-        refine_used += 4
-        move = None
-        for candidate, f in zip(candidates, values):
-            if f < best_f:
-                best_f, move = f, candidate
-        if move is None:
+        for a in range(0, len(candidates), 4):
+            refine_used += 4
+            move = None
+            for candidate, f in zip(candidates[a:a + 4], values[a:a + 4]):
+                if f < best_f:
+                    best_f, move = f, candidate
+            if move is not None:
+                best_u, best_v = move
+                break
             step /= 2.0
-        else:
-            best_u, best_v = move
 
     return OptimizationResult(
         lambda1=math.exp(best_u),

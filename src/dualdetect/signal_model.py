@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -26,6 +27,10 @@ __all__ = [
 ]
 
 _PRIOR_SUM_TOL = 1e-9
+# ln of the smallest and of the largest positive double, so ln lambda of
+# every threshold lies in this range, and ln(lambda2 / lambda1) within
+# plus or minus its width.
+_LOG_RANGE = (math.log(5e-324), math.log(sys.float_info.max))
 
 
 class Hypothesis(enum.Enum):
@@ -59,7 +64,10 @@ class SignalModel:
     m0, m1, m2:
         Means under NORMAL, EVENT1 and EVENT2. Strict ordering
         m2 > m1 > m0 is required; the decision thresholds are not
-        well defined otherwise.
+        well defined otherwise. The means must also keep every
+        observation cutoff finite for every positive threshold pair:
+        gaps below about 1e-305, or means near the largest double, are
+        refused.
     """
 
     m0: float
@@ -76,6 +84,20 @@ class SignalModel:
                 f"means must satisfy m2 > m1 > m0, got "
                 f"({self.m0}, {self.m1}, {self.m2})"
             )
+        # A cutoff is ln(ratio) / (b - a) + (b + a) / 2 for a likelihood
+        # ratio of positive doubles (decision_rules.gammas_from_lambdas),
+        # linear in ln(ratio), so it is finite for every threshold pair
+        # if it is at the ends of the range ln(ratio) can take.
+        lo, hi = _LOG_RANGE
+        for a, b, ends in ((self.m0, self.m1, (lo, hi)), (self.m0, self.m2, (lo, hi)),
+                           (self.m1, self.m2, (lo - hi, hi - lo))):
+            for end in ends:
+                if not math.isfinite(end / (b - a) + (b + a) / 2.0):
+                    raise ValueError(
+                        f"means ({self.m0}, {self.m1}, {self.m2}) put an observation "
+                        f"cutoff, ln(ratio) / ({b} - {a}) + ({b} + {a}) / 2, out of "
+                        f"float range at ln(ratio) = {end:.6g}"
+                    )
 
     def means_for_codes(self, codes: np.ndarray) -> np.ndarray:
         """Vectorized mean lookup: the means in CODES order, at ``code % 3``."""

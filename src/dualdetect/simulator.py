@@ -271,9 +271,10 @@ def _nearest_neighbors(
     need a second ring. Each row's n-th smallest distance is found by a
     partial selection (``partition``, Musser's introselect), and the
     candidates at or below it, exactly n unless there is a tie, are the
-    row, in candidate order. Only rows with more than n candidates at or
-    below it (lattices, coincident sensors) are sorted, by (distance,
-    index), so that every tie goes to the lower index.
+    row, in candidate order. A chunk with more such candidates than n per
+    settled row holds a tie (lattices, coincident sensors): only then are
+    rows counted, and only rows with more than n are sorted, by
+    (distance, index), so that every tie goes to the lower index.
 
     Rows that are not yet exact are searched again with r one larger,
     until the block covers the whole grid. Within a round the cells are
@@ -316,7 +317,7 @@ def _nearest_neighbors(
     # keys of up to 16 bits by radix.
     by_cell = np.argsort(cell.astype(np.min_scalar_type(cell_count)), kind="stable")
     slot_cell = cell[by_cell]
-    bounds = np.searchsorted(slot_cell, np.arange(cell_count + 1))
+    bounds = np.concatenate(([0], np.bincount(slot_cell, minlength=cell_count).cumsum()))
     # The subtraction and the division each round, so a quotient just
     # below a whole number can round up to it: the sensor then sits in
     # the next cell, past that cell's edge by a few ulps of the span, and
@@ -397,7 +398,10 @@ def _settle_chunk(
     below ``bound``; return the other rows.
 
     ``chunk`` holds row slots and ``cand`` their candidate slots, one
-    row each, in the slot order of ``_nearest_neighbors``.
+    row each, in the slot order of ``_nearest_neighbors``. The picks of
+    every settled row, its candidates at or below its n-th distance, are
+    taken in one pass; only when they number more than n per settled row
+    are the rows counted, and those with a tie sorted.
     """
     # Each coordinate is gathered once, then differenced and squared in place.
     d2 = xs.take(cand)
@@ -411,17 +415,22 @@ def _settle_chunk(
     dy.partition(n - 1, axis=1)
     nth = dy[:, n - 1]
     done = nth < bound
+    # No squared distance is below -1, so unsettled rows pick nothing.
+    nth[~done] = -1.0
     within = d2 <= nth[:, None]
-    tied = done & (within.sum(axis=1) > n)
-    exact = done & ~tied
-    if exact.any():
-        within[~exact] = False
+    picked = np.flatnonzero(within)
+    # A settled row holds at least n picks, exactly n unless it ties at
+    # its n-th distance, so only a chunk with surplus picks has tied rows.
+    settled = done
+    if picked.size > n * np.count_nonzero(done):
+        tied = within.sum(axis=1) > n
+        settled = done & ~tied
+        within[tied] = False
         picked = np.flatnonzero(within)
-        neighbors[ids[chunk[exact]]] = ids[cand.ravel()[picked]].reshape(-1, n)
-    if tied.any():
         tied_ids = ids[cand[tied]]
         best = np.lexsort((tied_ids, d2[tied]), axis=1)[:, :n]
         neighbors[ids[chunk[tied]]] = np.take_along_axis(tied_ids, best, axis=1)
+    neighbors[ids[chunk[settled]]] = ids[cand.ravel()[picked]].reshape(-1, n)
     return chunk[~done]
 
 

@@ -893,6 +893,20 @@ class TestCli:
         assert ",".join(header) == SWEEP_CSV_HEADER
         assert len(rows) == 1
 
+    @pytest.mark.parametrize("command", ["optimize", "simulate"])
+    @pytest.mark.parametrize("m1, code", [("1e-320", 2), ("5e-324", 2), ("1e-300", 0)])
+    def test_subnormal_mean_gap_exits_two(self, tmp_path, capsys, command, m1, code):
+        # ln lambda / (m1 - m0) overflows at a subnormal gap, so the
+        # config is refused; a gap of 1e-300 runs.
+        outputs = ["--sensor-count", "60", "--output-dir", str(tmp_path)] * (command == "simulate")
+        argv = [command, "--config", str(CONFIGS / "experiment1.conf"),
+                "--m0", "0", "--m1", m1, "--m2", "3", *outputs]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert f"ln(ratio) / ({m1} - 0.0)" in err and "out of float range" in err
+
     def test_non_utf8_config_exit_two(self, tmp_path, capsys):
         conf = tmp_path / "latin1.conf"
         conf.write_bytes(b"sensor_count = 100 # \xff\n")

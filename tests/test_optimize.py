@@ -238,6 +238,45 @@ class TestLatticeSearch:
         assert _bits(minimize_error(model, priors, params, faults)) == _bits(expected)
 
 
+class TestCompassReplay:
+    """One objective call scores a compass round and the halvings after it;
+    replaying them must give the round-by-round search bit for bit."""
+
+    @pytest.mark.parametrize("name", ["experiment1", "experiment2"])
+    @pytest.mark.parametrize("budget", [4, 8, 40, 44])
+    def test_budget_ends_inside_a_chain(self, monkeypatch, name, budget):
+        # 40 and 44 stop each search partway through a chain of halvings
+        # that one call scored; 4 and 8 allow one and two rounds.
+        monkeypatch.setattr(optimize, "MAX_REFINE_EVALUATIONS", budget)
+        objective = load_config(CONFIGS / f"{name}.conf").objective()
+        result = minimize_error(*objective)
+        assert not result.converged
+        assert _bits(result) == _bits(reference_search(*objective))
+
+    @pytest.mark.parametrize("model, priors, params, faults", _objectives())
+    def test_clamped_candidates(self, monkeypatch, model, priors, params, faults):
+        # In this narrow square most optima lie on a bound, so candidates
+        # clamp to it and some equal the centre.
+        monkeypatch.setattr(optimize, "LOG_BOUNDS", (-1.0, 1.0))
+        expected = reference_search(model, priors, params, faults)
+        assert _bits(minimize_error(model, priors, params, faults)) == _bits(expected)
+
+    @pytest.mark.parametrize("name, calls", [("experiment1", 30), ("experiment2", 20)])
+    def test_objective_calls(self, monkeypatch, name, calls):
+        # 6 lattice blocks, then one call per chain: 24 and 14 chains
+        # for the 40 and 30 compass rounds.
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return prob_error_faulty(*args)
+
+        monkeypatch.setattr(optimize, "prob_error_faulty", counted)
+        result = minimize_error(*load_config(CONFIGS / f"{name}.conf").objective())
+        assert result.converged
+        assert len(made) == calls
+
+
 class TestSearchMemory:
     """The lattice is scored in row blocks small enough for malloc to recycle."""
 

@@ -1,13 +1,22 @@
 """Signal model: hypotheses, Gaussian means, priors, normal CDF."""
 
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from dualdetect import Hypothesis, Priors, SignalModel, normal_cdf
+from dualdetect import (
+    Hypothesis,
+    LikelihoodThresholds,
+    Priors,
+    SignalModel,
+    gammas_from_lambdas,
+    normal_cdf,
+)
 from dualdetect.fusion import _powers
 from dualdetect.signal_model import CODES, elementwise
 
@@ -57,6 +66,19 @@ class TestSignalModel:
             SignalModel(0.0, 1.0, math.inf)
         with pytest.raises(ValueError):
             SignalModel(math.nan, 1.0, 2.0)
+
+    @pytest.mark.parametrize("means", [
+        (0.0, 1e-320, 3.0), (-1.0, 0.0, 1e-306), (1e308, 1.5e308, 1.7e308),
+    ], ids=["gap01", "gap12", "midpoint"])
+    def test_cutoffs_must_stay_finite(self, means):
+        # Some positive threshold pair would put a cutoff at +-inf.
+        with pytest.raises(ValueError, match="out of float range"):
+            SignalModel(*means)
+        # A gap of 1e-300 keeps every cutoff finite, at the extreme lambdas too.
+        ends = np.array([5e-324, sys.float_info.max])
+        gammas = gammas_from_lambdas(SignalModel(0.0, 1e-300, 3.0),
+                                     LikelihoodThresholds(ends[:, None], ends[None, :]))
+        assert all(np.isfinite(gamma).all() for gamma in dataclasses.astuple(gammas))
 
     def test_negative_means_allowed(self):
         model = SignalModel(-6.0, -3.0, -1.0)

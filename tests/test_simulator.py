@@ -355,6 +355,49 @@ class TestNearestNeighbors:
             )
 
     @pytest.mark.parametrize("include_self", [True, False])
+    def test_tied_and_untied_rows_share_a_chunk(self, monkeypatch, include_self):
+        # Sensors on a unit lattice tie at their n-th distance, jittered
+        # ones almost never do. A small budget puts rows of both kinds
+        # into one chunk, whose untied rows must settle beside the sorted
+        # tied ones.
+        monkeypatch.setattr(simulator, "_CHUNK_CANDIDATES", 64)
+        settle = simulator._settle_chunk
+        mixed = []
+
+        def spy(chunk, cand, xs, ys, ids, *rest):
+            sensors = ids[chunk]
+            mixed.append((sensors < 72).any() and (sensors >= 72).any())
+            return settle(chunk, cand, xs, ys, ids, *rest)
+
+        monkeypatch.setattr(simulator, "_settle_chunk", spy)
+        points = np.stack(np.meshgrid(np.arange(12.0), np.arange(12.0)), axis=-1).reshape(-1, 2)
+        jitter = np.random.default_rng(26).uniform(-0.2, 0.2, size=(72, 2))
+        positions = np.vstack([points[72:], points[:72] + jitter])
+        for n in (1, 2, 4, 5, 8):
+            _assert_same_sets(
+                _nearest_neighbors(positions, n, include_self),
+                _oracle_neighbors(positions, n, include_self),
+                err_msg=f"n={n}",
+            )
+        assert any(mixed)
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_stack_whose_highest_cells_are_empty(self, include_self):
+        # The last field covers only the low corner of the stack's
+        # bounding box, so the highest cell ids, its far columns, hold no
+        # sensor, and the cell bounds must still reach past them.
+        rng = np.random.default_rng(27)
+        blocks = [rng.uniform(0.0, 20.0, size=(100, 2)), rng.uniform(0.0, 4.0, size=(100, 2))]
+        for n in (1, 5, 8):
+            expected = np.vstack([_oracle_neighbors(block, n, include_self) + r * 100
+                                  for r, block in enumerate(blocks)])
+            _assert_same_sets(
+                _nearest_neighbors(np.vstack(blocks), n, include_self, len(blocks)),
+                expected,
+                err_msg=f"n={n}",
+            )
+
+    @pytest.mark.parametrize("include_self", [True, False])
     def test_wide_cell_ids_match_kd_tree(self, monkeypatch, include_self):
         # Eight realizations of 10,000 sensors with n = 2 need about 80,000
         # cells, past the 65,535 a 16-bit sort key holds.
