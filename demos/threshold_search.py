@@ -8,25 +8,15 @@ reporting-fault model in the objective and prints how far the optimum
 moves, and how flat the surface is around it.
 """
 
-import numpy as np
-
 from dualdetect import (
     FaultModel,
     FusionParams,
     LikelihoodThresholds,
     Priors,
     SignalModel,
-    fusion_quality,
-    gammas_from_lambdas,
-    local_metrics,
     minimize_error,
-    prob_error,
+    prob_error_faulty,
 )
-
-
-def objective(model, priors, params, lambda1, lambda2):
-    gammas = gammas_from_lambdas(model, LikelihoodThresholds(lambda1, lambda2))
-    return prob_error(priors, fusion_quality(local_metrics(model, gammas), params))
 
 
 def main():
@@ -45,8 +35,10 @@ def main():
     print("surface near the optimum (relative error increase):")
     base = result.objective_value
     for scale in (0.9, 0.95, 1.05, 1.1):
-        pe1 = objective(model, priors, params, result.lambda1 * scale, result.lambda2)
-        pe2 = objective(model, priors, params, result.lambda1, result.lambda2 * scale)
+        pe1 = prob_error_faulty(model, priors, LikelihoodThresholds(
+            result.lambda1 * scale, result.lambda2), params, None)
+        pe2 = prob_error_faulty(model, priors, LikelihoodThresholds(
+            result.lambda1, result.lambda2 * scale), params, None)
         print("  lambda1 x%.2f: +%.3e   lambda2 x%.2f: +%.3e"
               % (scale, pe1 - base, scale, pe2 - base))
     print()

@@ -12,91 +12,19 @@ them with a quorum rule that tolerates faulty reports. It provides:
 * a spatial Monte Carlo simulator and a reproducible experiment harness.
 """
 
-from .signal_model import Hypothesis, Priors, SignalModel, normal_cdf
-from .decision_rules import (
-    LikelihoodThresholds,
-    LocalMetrics,
-    ObservationThresholds,
-    classify_observations,
-    gammas_from_lambdas,
-    local_metrics,
-)
-from .fusion import (
-    FaultModel,
-    FusionParams,
-    FusionQuality,
-    enumerate_fusion_oracle,
-    fault_adjust,
-    fuse_decisions,
-    fusion_quality,
-    prob_error,
-    prob_error_faulty,
-    quorum_label,
-)
-from .optimize import OptimizationResult, minimize_error
-from .simulator import (
-    FAULT_MODES,
-    FaultSpec,
-    FieldConfig,
-    Rectangle,
-    RunResult,
-    SensorField,
-    generate_field,
-    run_detection,
-)
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    SingleRunArtifacts,
-    SweepRow,
-    SweepSummary,
-    load_config,
-    parse_config_text,
-    run_single,
-    run_sweep,
-)
+# Each module's __all__ states its public names; the package republishes
+# their union.
+from . import signal_model, decision_rules, fusion, optimize, simulator, harness
+from .signal_model import *  # noqa: F401,F403
+from .decision_rules import *  # noqa: F401,F403
+from .fusion import *  # noqa: F401,F403
+from .optimize import *  # noqa: F401,F403
+from .simulator import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Hypothesis",
-    "Priors",
-    "SignalModel",
-    "normal_cdf",
-    "LikelihoodThresholds",
-    "LocalMetrics",
-    "ObservationThresholds",
-    "classify_observations",
-    "gammas_from_lambdas",
-    "local_metrics",
-    "FaultModel",
-    "FusionParams",
-    "FusionQuality",
-    "enumerate_fusion_oracle",
-    "fault_adjust",
-    "fuse_decisions",
-    "fusion_quality",
-    "prob_error",
-    "prob_error_faulty",
-    "quorum_label",
-    "OptimizationResult",
-    "minimize_error",
-    "FAULT_MODES",
-    "FaultSpec",
-    "FieldConfig",
-    "Rectangle",
-    "RunResult",
-    "SensorField",
-    "generate_field",
-    "run_detection",
-    "ConfigError",
-    "ExperimentConfig",
-    "SingleRunArtifacts",
-    "SweepRow",
-    "SweepSummary",
-    "load_config",
-    "parse_config_text",
-    "run_single",
-    "run_sweep",
-    "__version__",
+    *signal_model.__all__, *decision_rules.__all__, *fusion.__all__,
+    *optimize.__all__, *simulator.__all__, *harness.__all__, "__version__",
 ]

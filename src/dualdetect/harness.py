@@ -33,21 +33,15 @@ from .simulator import (
 )
 
 __all__ = [
-    "CONFIG_KEYS",
     "ConfigError",
     "ExperimentConfig",
     "SingleRunArtifacts",
     "SweepRow",
     "SweepSummary",
     "load_config",
-    "make_output_dir",
     "parse_config_text",
-    "parse_value",
     "run_single",
     "run_sweep",
-    "SWEEP_PARAMS",
-    "SWEEP_CSV_HEADER",
-    "SCATTER_CSV_HEADER",
 ]
 
 # Each sweep parameter names the config keys one '/'-separated value sets.

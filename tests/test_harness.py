@@ -1,20 +1,25 @@
 """Experiment harness: config parsing, CSV artifacts, sweeps, CLI."""
 
+import contextlib
 import hashlib
 import importlib
 import inspect
+import io
 import math
 import pkgutil
 import platform
 import re
 import subprocess
 import sys
+import tempfile
+import time
 import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import dualdetect
 from dualdetect import (
@@ -34,7 +39,7 @@ from dualdetect import (
     run_sweep,
     simulator,
 )
-from dualdetect.cli import _build_parser, _load, main
+from dualdetect.cli import _build_parser, _flag, _load, main
 from dualdetect.harness import CONFIG_KEYS, SCATTER_CSV_HEADER, SWEEP_CSV_HEADER
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -851,6 +856,76 @@ class TestRunSweep:
         assert rows[0][0] == "0.12"
         ld_bf = float(rows[0][1])
         assert 0.0 <= ld_bf <= 100.0
+
+
+# Hostile flag values for TestHostileCli: every key gets the scalars,
+# and the keys that take lists also get whole bad lists and lists with
+# one scalar in one slot. A valid value that asks for a large run (a
+# sweep of 2**31 repetitions) is left out.
+HOSTILE_SCALARS = ("nan", "inf", "-inf", "0", "-1", "-0.0", "1e308", "1e16",
+                   str(2**31), "1e-320", "5e-324")
+# Degenerate, reversed, and larger than any field.
+HOSTILE_REGIONS = ("2,2,2,8", "8,8,2,2", "-1e308,-1e308,1e308,1e308", "0,0,1e16,1e16")
+# Each command's own arguments, {tmp} a fresh directory; simulate and
+# sweep run at 60 sensors. A hostile flag given after one of these wins.
+HOSTILE_COMMANDS = {
+    "optimize": [],
+    "simulate": ["--sensor-count", "60", "--output-dir", "{tmp}"],
+    "sweep": ["--param", "p_f", "--values", "0.1", "--repetitions", "1",
+              "--sensor-count", "60", "--output", "{tmp}/sweep.csv"],
+}
+HOSTILE_EXAMPLES = 300
+HOSTILE_SECONDS = 10.0
+
+
+def _one_slot_hostile(template):
+    """A comma-separated list with one entry replaced by a hostile scalar."""
+    entries = template.split(",")
+    return st.tuples(st.integers(0, len(entries) - 1), st.sampled_from(HOSTILE_SCALARS)).map(
+        lambda pick: ",".join(pick[1] if i == pick[0] else e for i, e in enumerate(entries)))
+
+
+def _hostile_value(key):
+    scalars = st.sampled_from(HOSTILE_SCALARS)
+    if key in ("event1_region", "event2_region"):
+        return st.one_of(scalars, st.sampled_from(HOSTILE_REGIONS), _one_slot_hostile("0,0,10,10"))
+    if key == "alphas":
+        return st.one_of(scalars, _one_slot_hostile("0.01,0.01,0.01,0.01,0.01,0.01"))
+    if key == "include_self":
+        return st.one_of(scalars, st.just("maybe"))
+    return scalars
+
+
+@st.composite
+def hostile_runs(draw):
+    command = draw(st.sampled_from(sorted(HOSTILE_COMMANDS)))
+    key = draw(st.sampled_from(sorted(CONFIG_KEYS)))
+    value = draw(_hostile_value(key))
+    assume(not (command == "sweep" and key == "repetitions" and value == str(2**31)))
+    return command, key, value
+
+
+class TestHostileCli:
+    @given(hostile_runs())
+    @settings(max_examples=HOSTILE_EXAMPLES, derandomize=True, deadline=None)
+    def test_hostile_flag_value_exits_cleanly(self, run):
+        # A bad value exits 2 (a ConfigError, or argparse's refusal), and
+        # no value prints a traceback, hangs or starts a large run.
+        command, key, value = run
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [command, *(arg.format(tmp=tmp) for arg in HOSTILE_COMMANDS[command]),
+                    _flag(key), value]
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse refusals
+                    code = exc.code
+            elapsed = time.perf_counter() - start
+        assert code in (0, 2, 3), (argv, stderr.getvalue())
+        assert "Traceback" not in stderr.getvalue()
+        assert elapsed < HOSTILE_SECONDS, argv
 
 
 class TestCli:
