@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_model import Hypothesis, SignalModel, elementwise, normal_cdf
+from .signal_model import Hypothesis, SignalModel, _cutoff, elementwise, normal_cdf
 
 __all__ = [
     "LikelihoodThresholds",
@@ -107,9 +107,9 @@ def gammas_from_lambdas(
     """
     log1 = _log(thresholds.lambda1)
     log2 = _log(thresholds.lambda2)
-    gamma1 = log1 / (model.m1 - model.m0) + (model.m1 + model.m0) / 2.0
-    gamma2 = log2 / (model.m2 - model.m0) + (model.m2 + model.m0) / 2.0
-    gamma3 = (log2 - log1) / (model.m2 - model.m1) + (model.m2 + model.m1) / 2.0
+    gamma1 = _cutoff(log1, model.m0, model.m1)
+    gamma2 = _cutoff(log2, model.m0, model.m2)
+    gamma3 = _cutoff(log2 - log1, model.m1, model.m2)
     return ObservationThresholds(gamma1, gamma2, gamma3)
 
 

@@ -32,6 +32,12 @@ _PRIOR_SUM_TOL = 1e-9
 _LOG_RANGE = (math.log(5e-324), math.log(sys.float_info.max))
 
 
+def _cutoff(log_ratio: float | np.ndarray, a: float, b: float) -> float | np.ndarray:
+    """The observation at which a unit-variance Gaussian likelihood ratio
+    of mean b to mean a equals exp(log_ratio); elementwise on arrays."""
+    return log_ratio / (b - a) + (b + a) / 2.0
+
+
 class Hypothesis(enum.Enum):
     """Ground-truth state or decision label for one sensor location.
 
@@ -83,15 +89,15 @@ class SignalModel:
                 f"means must satisfy m2 > m1 > m0, got "
                 f"({self.m0}, {self.m1}, {self.m2})"
             )
-        # A cutoff is ln(ratio) / (b - a) + (b + a) / 2 for a likelihood
-        # ratio of positive doubles (decision_rules.gammas_from_lambdas),
-        # linear in ln(ratio), so it is finite for every threshold pair
-        # if it is at the ends of the range ln(ratio) can take.
+        # A cutoff is linear in ln(ratio) for a likelihood ratio of
+        # positive doubles (decision_rules.gammas_from_lambdas), so it is
+        # finite for every threshold pair if it is at the ends of the
+        # range ln(ratio) can take.
         lo, hi = _LOG_RANGE
         for a, b, ends in ((self.m0, self.m1, (lo, hi)), (self.m0, self.m2, (lo, hi)),
                            (self.m1, self.m2, (lo - hi, hi - lo))):
             for end in ends:
-                if not math.isfinite(end / (b - a) + (b + a) / 2.0):
+                if not math.isfinite(_cutoff(end, a, b)):
                     raise ValueError(
                         f"means ({self.m0}, {self.m1}, {self.m2}) put an observation "
                         f"cutoff, ln(ratio) / ({b} - {a}) + ({b} + {a}) / 2, out of "

@@ -15,14 +15,14 @@ of one generator.
 Faults corrupt reported decisions between the local and fusion stages.
 ``FaultSpec.arcs`` states each mode's law once: where a faulted sensor
 goes along the two off-diagonal arcs leaving its decision's row of the
-fault matrix. ``forced-change`` faults exactly floor(P_f * N) distinct
-sensors, the product taken exactly on P_f's shortest decimal form
-(0.29 * 100 is 29), and moves each one in proportion to its row's arcs
+fault matrix. ``forced-change`` faults exactly ``FaultSpec.faulted(N)``
+distinct sensors and moves each one in proportion to its row's arcs
 (evenly when both are zero). ``alpha-table`` faults every sensor with
 the matrix's own arcs, so each keeps its decision with the diagonal
-mass. One injector maps one uniform draw per faulted sensor onto its
-row's arcs in ascending column order, which fixes the labels a given
-seed produces; sensors whose reports changed are flagged faulty.
+mass. ``FaultSpec.vote_matrix`` is the resulting per-vote law. One
+injector maps one uniform draw per faulted sensor onto its row's arcs
+in ascending column order, which fixes the labels a given seed
+produces; sensors whose reports changed are flagged faulty.
 """
 
 from __future__ import annotations
@@ -184,10 +184,9 @@ class FaultSpec:
     it keeps its decision with the rest. Under ``alpha-table`` they are
     the fault matrix's off-diagonal entries; under ``forced-change`` the
     same entries rescaled to add up to 1 (0.5 each when both are zero).
-    The per-vote matrix is ``w * arcs`` off the diagonal, with
-    ``w = floor(P_f * N) / N`` under forced-change and 1 under
-    alpha-table. Arcs premultiplied by P_f would make the injector
-    divide it out again, and that rounding can move a draw.
+    :meth:`faulted` counts the faulted sensors and :meth:`vote_matrix`
+    states the per-vote law. Arcs premultiplied by P_f would make the
+    injector divide it out again, and that rounding can move a draw.
     """
 
     model: FaultModel
@@ -208,6 +207,37 @@ class FaultSpec:
             arcs = tuple((a / (a + b), 1.0 - a / (a + b)) if a + b > 0.0 else (0.5, 0.5)
                          for a, b in arcs)
         object.__setattr__(self, "arcs", arcs)
+
+    def faulted(self, sensor_count: int) -> int:
+        """How many of a field's ``sensor_count`` sensors are faulted.
+
+        ``forced-change`` faults floor(P_f * N), the floor of the decimal
+        product: the double nearest 0.29 lies below it, so 0.29 * 100
+        would floor to 28 in floating point. P_f is the model's
+        ``total_probability``, which ``FaultModel.uniform_split`` keeps as
+        configured: the sum of its six shares can floor one fault short
+        (4 of 100 at 0.05). ``alpha-table`` faults all N.
+        """
+        if self.mode == "alpha-table":
+            return sensor_count
+        return math.floor(Fraction(repr(float(self.model.total_probability))) * sensor_count)
+
+    def vote_matrix(self, sensor_count: int) -> tuple[tuple[float, float, float], ...]:
+        """The marginal per-vote fault matrix on a field of ``sensor_count``
+        sensors, in ``FaultModel.matrix`` layout: ``w * arcs`` off the
+        diagonal, with ``w = faulted(N) / N``, so under ``alpha-table`` it
+        is the fault matrix itself.
+        """
+        if self.mode == "alpha-table":
+            return self.model.matrix
+        w = self.faulted(sensor_count) / sensor_count
+        rows = []
+        for i, ((c0, c1), (a, b)) in enumerate(zip(_ARC_COLUMNS.tolist(), self.arcs)):
+            row = [0.0, 0.0, 0.0]
+            row[c0], row[c1] = w * a, w * b
+            row[i] = 1.0 - row[c0] - row[c1]
+            rows.append(tuple(row))
+        return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -465,9 +495,7 @@ def _inject_faults(
     """
     size = local.shape[0] // len(rngs)
     if spec.mode == "forced-change":
-        # The floor of the decimal product: the double nearest 0.29 lies
-        # below it, so 0.29 * 100 would floor to 28 in floating point.
-        n_faulty = math.floor(Fraction(repr(float(spec.model.total_probability))) * size)
+        n_faulty = spec.faulted(size)
         # Each realization's generator picks its faulty sensors, then draws
         # their transitions.
         draws = [(g.choice(size, size=n_faulty, replace=False), g.random(n_faulty)) for g in rngs]

@@ -606,6 +606,10 @@ class TestRunDetection:
         # float product would floor one fault short.
         (0.29, 100, 29), (0.57, 100, 57), (0.58, 100, 58), (0.35, 700, 245),
         (np.float64(0.29), 100, 29), (0.004, 200, 0),
+        # The six shares of uniform_split re-summed lie below these p_f
+        # (0.05 / 6 six times is 0.049999999999999996), so a count taken
+        # from that sum would floor one fault short: its total stays p_f.
+        (0.05, 100, 5), (0.1, 10, 1),
         # The experiments' rates keep the float product's count.
         *((p_f, count, math.floor(p_f * count))
           for p_f in (0.12, 0.24, 0.36) for count in (200, 400, 700, 1000, 4000)),
@@ -614,7 +618,7 @@ class TestRunDetection:
         spec = FaultSpec(FaultModel.uniform_split(p_f), "forced-change")
         local = np.zeros(count, dtype=np.int8)
         _, faulty = _inject_faults(local, spec, [np.random.default_rng(0)])
-        assert int(faulty.sum()) == expected
+        assert int(faulty.sum()) == spec.faulted(count) == expected
 
     def test_forced_change_flips_every_selected_sensor(self):
         faults = FaultSpec(FaultModel.uniform_split(0.3), "forced-change")
@@ -710,11 +714,12 @@ def _within_4_se(hits, trials, p):
 
 
 class TestFaultLaw:
+    """Injected reports against the per-vote law ``FaultSpec.vote_matrix``."""
+
     @staticmethod
-    def _inject(mode, alphas=SKEWED_ALPHAS):
+    def _inject(spec):
         rng = np.random.default_rng(11)
         local = rng.permutation(np.repeat(np.array([0, 1, -1], dtype=np.int8), 20_000))
-        spec = FaultSpec(FaultModel(*alphas), mode)
         reported, faulty = _inject_faults(local, spec, [rng])
         np.testing.assert_array_equal(faulty, reported != local)
         return local, reported, faulty
@@ -729,35 +734,40 @@ class TestFaultLaw:
                 assert _within_4_se(hits, reports.size, p), (label, to, hits)
 
     def test_forced_change_moves_in_proportion_to_its_row(self):
-        local, reported, faulty = self._inject("forced-change")
+        spec = FaultSpec(FaultModel(*SKEWED_ALPHAS), "forced-change")
+        local, reported, faulty = self._inject(spec)
         assert int(faulty.sum()) == math.floor(0.45 * 60_000)
-        # One-sided quiet row: every faulted quiet sensor reports +1.
-        quiet = faulty & (local == 0)
-        assert quiet.any() and np.all(reported[quiet] == 1)
-        # Arcs 0.1 : 0.05 send a faulted +1 sensor to 0 two times in three,
-        # and the -1 row's zero arcs split evenly.
-        for label, to_quiet in ((1, 2.0 / 3.0), (-1, 0.5)):
-            moved = faulty & (local == label)
-            hits = int((reported[moved] == 0).sum())
-            assert _within_4_se(hits, int(moved.sum()), to_quiet), (label, hits)
+        self._assert_reports_follow_rows(local, reported, spec.vote_matrix(local.size))
 
     def test_alpha_table_reports_follow_matrix_rows(self):
-        local, reported, _ = self._inject("alpha-table")
-        self._assert_reports_follow_rows(local, reported, FaultModel(*SKEWED_ALPHAS).matrix)
+        spec = FaultSpec(FaultModel(*SKEWED_ALPHAS), "alpha-table")
+        local, reported, _ = self._inject(spec)
+        self._assert_reports_follow_rows(local, reported, spec.vote_matrix(local.size))
 
     def test_alpha_table_needs_only_valid_rows(self):
         # Only forced-change, which faults floor(total * N) sensors, bounds
         # the alphas' total by 1.
-        local, reported, _ = self._inject("alpha-table", HEAVY_ALPHAS)
-        self._assert_reports_follow_rows(local, reported, FaultModel(*HEAVY_ALPHAS).matrix)
+        spec = FaultSpec(FaultModel(*HEAVY_ALPHAS), "alpha-table")
+        local, reported, _ = self._inject(spec)
+        self._assert_reports_follow_rows(local, reported, spec.vote_matrix(local.size))
         with pytest.raises(ValueError, match="must not exceed 1, got 2.0"):
             FaultSpec(FaultModel(*HEAVY_ALPHAS), "forced-change")
 
-    @given(st.tuples(*(st.floats(0.0, 1.0 / 6.0) for _ in range(6))))
-    def test_arcs_state_each_mode_law(self, alphas):
+    @given(st.tuples(*(st.floats(0.0, 1.0 / 6.0) for _ in range(6))),
+           st.integers(1, 10**6))
+    def test_arcs_state_each_mode_law(self, alphas, sensor_count):
         model = FaultModel(*alphas)
-        forced = FaultSpec(model, "forced-change").arcs
-        table = FaultSpec(model, "alpha-table").arcs
-        for row, (first, second) in enumerate(forced):
+        forced = FaultSpec(model, "forced-change")
+        table = FaultSpec(model, "alpha-table")
+        assert table.faulted(sensor_count) == sensor_count
+        assert table.vote_matrix(sensor_count) == model.matrix
+        w = forced.faulted(sensor_count) / sensor_count
+        matrix = forced.vote_matrix(sensor_count)
+        for row, (first, second) in enumerate(forced.arcs):
             assert first + second == 1.0
-            assert table[row] == tuple(model.matrix[row][c] for c in range(3) if c != row)
+            off = [c for c in range(3) if c != row]
+            assert table.arcs[row] == tuple(model.matrix[row][c] for c in off)
+            assert tuple(matrix[row][c] for c in off) == (w * first, w * second)
+            # Four roundings of numbers at most 1: two for the diagonal, two
+            # for the sum.
+            assert sum(matrix[row]) == pytest.approx(1.0, rel=0.0, abs=1e-15)
