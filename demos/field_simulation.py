@@ -49,7 +49,7 @@ def main():
     print("ground truth ('.' normal, '1' event 1, '2' event 2):")
     print(render(field.positions, field.truth, config.width, config.height))
     print()
-    # error_rates columns: local, clean_final, reported, final.
+    # error_rates columns follow RunResult.layers: local, clean_final, reported, final.
     print("local decisions, error rate %.1f%%:" % (100 * result.error_rates[0, 0]))
     print(render(field.positions, result.local, config.width, config.height))
     print()

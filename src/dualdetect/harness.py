@@ -53,6 +53,12 @@ _SWEEP_KEYS = {
 SWEEP_PARAMS = tuple(_SWEEP_KEYS)
 SCATTER_CSV_HEADER = "x,y,truth,decision,faulty"
 SWEEP_CSV_HEADER = "param,ld_bf,fd_bf,ld_af,fd_af,lambda1,lambda2"
+# Each decision layer's scatter file and summary.csv error key, in
+# RunResult.layers order.
+_SCATTER_FILES = ("local_decisions.csv", "final_decisions.csv",
+                  "local_decisions_faulty.csv", "final_decisions_faulty.csv")
+_ERROR_KEYS = ("local_error_percent", "final_error_percent",
+               "local_error_faulty_percent", "final_error_faulty_percent")
 # Sensors one batch of a sweep cell's realizations stacks: enough to share
 # a neighbour search's fixed cost over many small fields, while a batch's
 # arrays stay a few MiB.
@@ -349,21 +355,12 @@ def run_single(config: ExperimentConfig, output_dir: str | Path) -> SingleRunArt
     result = cell.realize([np.random.default_rng(config.seed)])
     thresholds, optimization, spec = cell.thresholds, cell.optimization, cell.spec
 
-    no_fault_flags = np.zeros(config.sensor_count, dtype=bool)
-    artifacts: list[tuple[str, np.ndarray, np.ndarray]] = [
-        ("local_decisions.csv", result.local, no_fault_flags),
-        ("final_decisions.csv", result.clean_final, no_fault_flags),
-    ]
-    if spec is not None:
-        artifacts.extend(
-            [
-                ("local_decisions_faulty.csv", result.reported, result.faulty),
-                ("final_decisions_faulty.csv", result.final, result.faulty),
-            ]
-        )
-    paths = _write_scatter(out, result.field, artifacts)
+    # The clean pair's rows are flagged 0; without faults only it is written.
+    clean = np.zeros(config.sensor_count, dtype=bool)
+    flags = (clean, clean) + (result.faulty,) * 2
+    files = list(zip(_SCATTER_FILES, result.layers, flags))
+    paths = _write_scatter(out, result.field, files if spec is not None else files[:2])
 
-    ld_bf, fd_bf, ld_af, fd_af = (100.0 * result.error_rates[0]).tolist()
     summary: dict[str, object] = {
         "sensor_count": config.sensor_count,
         "seed": config.seed,
@@ -377,10 +374,7 @@ def run_single(config: ExperimentConfig, output_dir: str | Path) -> SingleRunArt
         "p_f": "" if config.alphas is not None else config.p_f,
         "fault_mode": "" if spec is None else spec.mode,
         "fault_count": result.fault_count,
-        "local_error_percent": ld_bf,
-        "final_error_percent": fd_bf,
-        "local_error_faulty_percent": ld_af,
-        "final_error_faulty_percent": fd_af,
+        **dict(zip(_ERROR_KEYS, (100.0 * result.error_rates[0]).tolist())),
     }
     summary_path = out / "summary.csv"
     _write_csv(summary_path, "key,value", [[k, v] for k, v in summary.items()])

@@ -22,7 +22,7 @@ the matrix's own arcs, so each keeps its decision with the diagonal
 mass. ``FaultSpec.vote_matrix`` is the resulting per-vote law. One
 injector maps one uniform draw per faulted sensor onto its row's arcs
 in ascending column order, which fixes the labels a given seed
-produces; sensors whose reports changed are flagged faulty.
+produces; a run result flags the sensors whose reports changed.
 """
 
 from __future__ import annotations
@@ -244,25 +244,39 @@ class FaultSpec:
 class RunResult:
     """One simulated detection round over each realization of a field.
 
-    The decision arrays follow the field's stacked rows. Row r of
-    ``error_rates`` is realization r's error of ``local``,
-    ``clean_final``, ``reported`` and ``final`` against the truth, the
-    order of ``sweep.csv``'s ld_bf, fd_bf, ld_af and fd_af. Without
-    faults the before and after columns coincide. ``fault_count`` is the
-    total over the stack.
+    The decision arrays follow the field's stacked rows. Without faults
+    ``reported`` is ``local`` and ``final`` is ``clean_final``. Fault
+    flags, their count over the stack and the error rates are read off
+    the decision layers.
     """
 
     field: SensorField
     local: np.ndarray          # pre-fault decisions, int8 codes
     reported: np.ndarray       # post-fault decisions, int8 codes
-    faulty: np.ndarray         # bool flags
     final: np.ndarray          # fusion of reported decisions
     clean_final: np.ndarray    # fusion of pre-fault decisions
-    error_rates: np.ndarray    # (R, 4) float64
+
+    @property
+    def layers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The decision layers in the order of ``sweep.csv``'s ld_bf,
+        fd_bf, ld_af and fd_af: local and fused, before and after faults."""
+        return self.local, self.clean_final, self.reported, self.final
+
+    @property
+    def faulty(self) -> np.ndarray:
+        """Bool flags of the sensors whose reports faults changed."""
+        return self.reported != self.local
 
     @property
     def fault_count(self) -> int:
         return int(self.faulty.sum())
+
+    @property
+    def error_rates(self) -> np.ndarray:
+        """(R, 4) float64: row r is realization r's error of each layer
+        against the truth, in ``layers`` order."""
+        wrong = np.stack(self.layers) != self.field.truth
+        return wrong.reshape(4, -1, self.field.config.sensor_count).mean(axis=2).T
 
 
 # Padded candidates (rows x width) one selection step holds: each of its
@@ -488,10 +502,10 @@ def generate_field(config: FieldConfig, rngs: Sequence[np.random.Generator]) -> 
 
 def _inject_faults(
     local: np.ndarray, spec: FaultSpec, rngs: Sequence[np.random.Generator]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reported decisions and fault flags: the mode picks the faulted
-    sensors and their draws, then a draw below the first arc takes it,
-    one below both arcs takes the second, and any other keeps the label.
+) -> np.ndarray:
+    """Reported decisions: the mode picks the faulted sensors and their
+    draws, then a draw below the first arc takes it, one below both arcs
+    takes the second, and any other keeps the label.
     """
     size = local.shape[0] // len(rngs)
     if spec.mode == "forced-change":
@@ -510,7 +524,7 @@ def _inject_faults(
                      np.where(u < arcs[:, 0] + arcs[:, 1], columns[:, 1], rows))
     reported = local.copy()
     reported[chosen] = CODES[moved]
-    return reported, reported != local
+    return reported
 
 
 def run_detection(
@@ -539,21 +553,8 @@ def run_detection(
     observations = means + np.concatenate([g.standard_normal(size) for g in rngs])
     local = classify_observations(observations, gammas)
 
-    if faults is None:
-        reported, faulty = local, np.zeros(local.shape, dtype=bool)
-    else:
-        reported, faulty = _inject_faults(local, faults, rngs)
-
+    reported = local if faults is None else _inject_faults(local, faults, rngs)
     final = fuse_decisions(reported, field.neighbors, k)
     clean_final = final if faults is None else fuse_decisions(local, field.neighbors, k)
-
-    wrong = np.stack([local, clean_final, reported, final]) != field.truth
-    return RunResult(
-        field=field,
-        local=local,
-        reported=reported,
-        faulty=faulty,
-        final=final,
-        clean_final=clean_final,
-        error_rates=wrong.reshape(4, len(rngs), size).mean(axis=2).T,
-    )
+    return RunResult(field=field, local=local, reported=reported, final=final,
+                     clean_final=clean_final)

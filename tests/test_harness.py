@@ -898,11 +898,13 @@ def _hostile_value(key):
 
 @st.composite
 def hostile_runs(draw):
+    """A command and one to three hostile flags, each for a different key."""
     command = draw(st.sampled_from(sorted(HOSTILE_COMMANDS)))
-    key = draw(st.sampled_from(sorted(CONFIG_KEYS)))
-    value = draw(_hostile_value(key))
-    assume(not (command == "sweep" and key == "repetitions" and value == str(2**31)))
-    return command, key, value
+    keys = draw(st.lists(st.sampled_from(sorted(CONFIG_KEYS)), min_size=1, max_size=3,
+                         unique=True))
+    flags = [(key, draw(_hostile_value(key))) for key in keys]
+    assume(not (command == "sweep" and ("repetitions", str(2**31)) in flags))
+    return command, flags
 
 
 class TestHostileCli:
@@ -910,12 +912,13 @@ class TestHostileCli:
     @settings(max_examples=HOSTILE_EXAMPLES, derandomize=True, deadline=None)
     def test_hostile_flag_value_exits_cleanly(self, run):
         # A bad value exits 2 (a ConfigError, or argparse's refusal), and
-        # no value prints a traceback, hangs or starts a large run.
-        command, key, value = run
+        # no value or mix of values prints a traceback, hangs or starts a
+        # large run.
+        command, flags = run
         stderr = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             argv = [command, *(arg.format(tmp=tmp) for arg in HOSTILE_COMMANDS[command]),
-                    _flag(key), value]
+                    *(arg for key, value in flags for arg in (_flag(key), value))]
             start = time.perf_counter()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
                 try:

@@ -1,5 +1,6 @@
 """Spatial simulator: field generation, neighborhoods, fault injection."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ from dualdetect import (
     FaultSpec,
     FieldConfig,
     Rectangle,
+    RunResult,
     SignalModel,
     fuse_decisions,
     gammas_from_lambdas,
@@ -24,7 +26,8 @@ from dualdetect.decision_rules import LikelihoodThresholds
 from dualdetect.fusion import quorum_label
 from dualdetect.simulator import _inject_faults, _nearest_neighbors
 
-# The decision arrays error_rates scores, in its column order.
+# The decision arrays error_rates scores, in its column order: RunResult.layers,
+# stated here apart from it.
 RATED = ("local", "clean_final", "reported", "final")
 
 
@@ -617,8 +620,8 @@ class TestRunDetection:
     def test_forced_change_count_is_decimal_floor(self, p_f, count, expected):
         spec = FaultSpec(FaultModel.uniform_split(p_f), "forced-change")
         local = np.zeros(count, dtype=np.int8)
-        _, faulty = _inject_faults(local, spec, [np.random.default_rng(0)])
-        assert int(faulty.sum()) == spec.faulted(count) == expected
+        reported = _inject_faults(local, spec, [np.random.default_rng(0)])
+        assert int((reported != local).sum()) == spec.faulted(count) == expected
 
     def test_forced_change_flips_every_selected_sensor(self):
         faults = FaultSpec(FaultModel.uniform_split(0.3), "forced-change")
@@ -673,19 +676,40 @@ class TestRunDetection:
 
     def test_error_rate_columns_follow_sweep_csv(self):
         # Columns ld_bf, fd_bf, ld_af, fd_af: local, clean_final,
-        # reported and final, each against truth over one realization's rows.
-        faults = FaultSpec(FaultModel.uniform_split(0.24), "forced-change")
+        # reported and final, each against truth over one realization's
+        # rows, in a batch of each fault mode and one without faults.
         config = FieldConfig(sensor_count=90)
-        rngs = [np.random.default_rng(seed) for seed in (3, 4, 5)]
-        result = run_detection(generate_field(config, rngs), self.model, self.gammas, faults, rngs)
-        assert result.error_rates.shape == (3, 4)
-        truth = result.field.truth.reshape(3, 90)
-        for r in range(3):
-            expected = [np.mean(getattr(result, name).reshape(3, 90)[r] != truth[r])
-                        for name in RATED]
-            assert result.error_rates[r].tolist() == expected
-        # Faults move the after-fault columns in this batch.
-        assert not np.array_equal(result.error_rates[:, :2], result.error_rates[:, 2:])
+        for mode in (None, "forced-change", "alpha-table"):
+            faults = None if mode is None else FaultSpec(FaultModel.uniform_split(0.24), mode)
+            rngs = [np.random.default_rng(seed) for seed in (3, 4, 5)]
+            result = run_detection(
+                generate_field(config, rngs), self.model, self.gammas, faults, rngs)
+            assert result.error_rates.shape == (3, 4)
+            truth = result.field.truth.reshape(3, 90)
+            for r in range(3):
+                expected = [np.mean(getattr(result, name).reshape(3, 90)[r] != truth[r])
+                            for name in RATED]
+                assert result.error_rates[r].tolist() == expected, mode
+            # Faults move the after-fault columns in these batches; without
+            # faults they repeat the before-fault ones.
+            same = np.array_equal(result.error_rates[:, :2], result.error_rates[:, 2:])
+            assert same == (mode is None), mode
+
+    def test_result_stores_only_decision_layers(self):
+        # Flags and their count are read off the layers (error_rates: the
+        # test above), with and without faults.
+        names = [f.name for f in dataclasses.fields(RunResult)]
+        assert names == ["field", "local", "reported", "final", "clean_final"]
+        for mode in (None, "forced-change", "alpha-table"):
+            faults = None if mode is None else FaultSpec(FaultModel.uniform_split(0.3), mode)
+            result = self._run(faults=faults)
+            assert all(a is getattr(result, name)
+                       for a, name in zip(result.layers, RATED, strict=True))
+            faulty = result.reported != result.local
+            assert result.faulty.dtype == bool
+            np.testing.assert_array_equal(result.faulty, faulty)
+            assert result.fault_count == int(faulty.sum())
+            assert (result.fault_count == 0) == (mode is None), mode
 
     def test_generators_must_match_field(self):
         rngs = [np.random.default_rng(seed) for seed in (1, 2)]
@@ -720,9 +744,7 @@ class TestFaultLaw:
     def _inject(spec):
         rng = np.random.default_rng(11)
         local = rng.permutation(np.repeat(np.array([0, 1, -1], dtype=np.int8), 20_000))
-        reported, faulty = _inject_faults(local, spec, [rng])
-        np.testing.assert_array_equal(faulty, reported != local)
-        return local, reported, faulty
+        return local, _inject_faults(local, spec, [rng])
 
     @staticmethod
     def _assert_reports_follow_rows(local, reported, matrix):
@@ -735,20 +757,20 @@ class TestFaultLaw:
 
     def test_forced_change_moves_in_proportion_to_its_row(self):
         spec = FaultSpec(FaultModel(*SKEWED_ALPHAS), "forced-change")
-        local, reported, faulty = self._inject(spec)
-        assert int(faulty.sum()) == math.floor(0.45 * 60_000)
+        local, reported = self._inject(spec)
+        assert int((reported != local).sum()) == math.floor(0.45 * 60_000)
         self._assert_reports_follow_rows(local, reported, spec.vote_matrix(local.size))
 
     def test_alpha_table_reports_follow_matrix_rows(self):
         spec = FaultSpec(FaultModel(*SKEWED_ALPHAS), "alpha-table")
-        local, reported, _ = self._inject(spec)
+        local, reported = self._inject(spec)
         self._assert_reports_follow_rows(local, reported, spec.vote_matrix(local.size))
 
     def test_alpha_table_needs_only_valid_rows(self):
         # Only forced-change, which faults floor(total * N) sensors, bounds
         # the alphas' total by 1.
         spec = FaultSpec(FaultModel(*HEAVY_ALPHAS), "alpha-table")
-        local, reported, _ = self._inject(spec)
+        local, reported = self._inject(spec)
         self._assert_reports_follow_rows(local, reported, spec.vote_matrix(local.size))
         with pytest.raises(ValueError, match="must not exceed 1, got 2.0"):
             FaultSpec(FaultModel(*HEAVY_ALPHAS), "forced-change")
