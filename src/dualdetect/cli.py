@@ -24,6 +24,7 @@ import numpy as np
 
 from .decision_rules import LikelihoodThresholds, gammas_from_lambdas, local_metrics
 from .fusion import (
+    FAULT_MODES,
     MAX_ORACLE_SENSORS,
     FaultModel,
     FusionParams,
@@ -37,6 +38,7 @@ from .harness import (
     ExperimentConfig,
     load_config,
     make_output_dir,
+    open_output,
     parse_value,
     run_single,
     run_sweep,
@@ -44,7 +46,6 @@ from .harness import (
 )
 from .optimize import minimize_error
 from .signal_model import SignalModel
-from .simulator import FAULT_MODES
 
 __all__ = ["main"]
 
@@ -151,11 +152,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load(args)
-    # Refuse an unusable output path before the repetitions run.
+    # Refuse an unusable output path before the repetitions run. Opening it
+    # to append leaves an existing file as it is; a new one is removed again.
     output = Path(args.output)
     make_output_dir(output.parent)
-    if output.is_dir():
-        raise ConfigError(f"sweep output {output} is a directory")
+    existed = output.exists() or output.is_symlink()
+    open_output(output, "a").close()
+    if not existed:
+        output.unlink()
     values = [v for v in args.values.split(",") if v.strip()]
     summary = run_sweep(config, args.param, values)
     path = summary.to_csv(args.output)

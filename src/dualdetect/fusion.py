@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -36,6 +37,7 @@ from .signal_model import CODES, Priors, SignalModel
 __all__ = [
     "FusionParams",
     "FaultModel",
+    "FAULT_MODES",
     "FusionQuality",
     "quorum_label",
     "fuse_decisions",
@@ -63,22 +65,44 @@ class FusionParams:
             raise ValueError(f"k must satisfy 1 <= k <= n, got k={self.k}, n={self.n}")
 
 
+FAULT_MODES = ("forced-change", "alpha-table")
+# Each matrix row's off-diagonal columns in ascending order. Rows and
+# columns follow CODES, so a decision code's row is code % 3.
+_ARC_COLUMNS = np.array([[1, 2], [0, 2], [0, 1]])
+
+
 @dataclass(frozen=True)
 class FaultModel:
-    """Per-label decision corruption probabilities.
+    """Per-label decision corruption probabilities and how they are injected.
 
     alpha1: +1 reported as 0      alpha2: -1 reported as 0
     alpha3: +1 reported as -1     alpha4: -1 reported as +1
     alpha5:  0 reported as +1     alpha6:  0 reported as -1
 
     The total fault probability is the sum of all six; :meth:`uniform_split`
-    keeps the exact total, which its six shares may miss by an ulp. Per
+    keeps the exact total, which its six shares may miss by an ulp, so a
+    mode variant is built with it, not ``dataclasses.replace``. Per
     source label the outgoing corruption must not exceed one.
 
     ``matrix`` is the row-stochastic transition matrix built from the
     six alphas: ``matrix[i][j]`` is the probability that a decision with
     label i is reported as label j, rows and columns ordered (0, +1, -1),
-    so a decision code's index is ``code % 3``.
+    so a decision code's index is ``code % 3``. The closed form reads
+    only the matrix.
+
+    ``mode`` is how the simulator injects faults, one of ``FAULT_MODES``.
+    The default, ``alpha-table``, is the law the closed form assumes and
+    needs only the matrix's valid rows; ``forced-change`` faults
+    floor(total * N) of N sensors, so it bounds the total by 1.
+    ``arcs`` states each mode's transition law once: row ``code % 3``
+    holds the probabilities that a faulted sensor with that decision
+    moves to the row's two off-diagonal columns (``_ARC_COLUMNS`` order);
+    it keeps its decision with the rest. Under ``alpha-table`` they are
+    the matrix's off-diagonal entries; under ``forced-change`` the same
+    entries rescaled to add up to 1 (0.5 each when both are zero).
+    :meth:`faulted` counts the faulted sensors and :meth:`vote_matrix`
+    states the per-vote law. Arcs premultiplied by P_f would make the
+    injector divide it out again, and that rounding can move a draw.
     """
 
     alpha1: float
@@ -87,10 +111,12 @@ class FaultModel:
     alpha4: float
     alpha5: float
     alpha6: float
+    mode: str = "alpha-table"
     matrix: tuple[tuple[float, float, float], ...] = field(
         init=False, repr=False, compare=False
     )
     total_probability: float = field(init=False, repr=False, compare=False)
+    arcs: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "alpha6"):
@@ -108,19 +134,58 @@ class FaultModel:
                     f"fault probabilities out of label {code} must not exceed 1, "
                     f"got {1.0 - row[code % 3]!r}"
                 )
+        if self.mode not in FAULT_MODES:
+            raise ValueError(f"fault mode must be one of {FAULT_MODES}, got {self.mode!r}")
+        total = (self.alpha1 + self.alpha2 + self.alpha3
+                 + self.alpha4 + self.alpha5 + self.alpha6)
+        if self.mode == "forced-change" and total > 1.0:
+            raise ValueError(f"fault probability must not exceed 1, got {total!r}")
+        arcs = tuple((row[c0], row[c1]) for row, (c0, c1) in zip(matrix, _ARC_COLUMNS.tolist()))
+        if self.mode == "forced-change":
+            arcs = tuple((a / (a + b), 1.0 - a / (a + b)) if a + b > 0.0 else (0.5, 0.5)
+                         for a, b in arcs)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "total_probability", self.alpha1 + self.alpha2
-                           + self.alpha3 + self.alpha4 + self.alpha5 + self.alpha6)
+        object.__setattr__(self, "total_probability", total)
+        object.__setattr__(self, "arcs", arcs)
 
     @classmethod
-    def uniform_split(cls, total: float) -> "FaultModel":
+    def uniform_split(cls, total: float, mode: str = "alpha-table") -> "FaultModel":
         """Split a total fault probability evenly over the six transitions."""
         if not (0.0 <= total <= 1.0):
             raise ValueError(f"total fault probability must lie in [0, 1], got {total!r}")
         share = total / 6.0
-        model = cls(share, share, share, share, share, share)
+        model = cls(share, share, share, share, share, share, mode)
         object.__setattr__(model, "total_probability", total)
         return model
+
+    def faulted(self, sensor_count: int) -> int:
+        """How many of a field's ``sensor_count`` sensors are faulted.
+
+        ``forced-change`` faults floor(P_f * N), the floor of the decimal
+        product: the double nearest 0.29 lies below it, so 0.29 * 100
+        would floor to 28 in floating point. P_f is
+        ``total_probability``, which :meth:`uniform_split` keeps as
+        configured: the sum of its six shares can floor one fault short
+        (4 of 100 at 0.05). ``alpha-table`` faults all N.
+        """
+        if self.mode == "alpha-table":
+            return sensor_count
+        return math.floor(Fraction(repr(float(self.total_probability))) * sensor_count)
+
+    def vote_matrix(self, sensor_count: int) -> tuple[tuple[float, float, float], ...]:
+        """The marginal per-vote fault matrix on a field of ``sensor_count``
+        sensors, in ``matrix`` layout: ``w * arcs`` off the diagonal, with
+        ``w = faulted(N) / N``, so under ``alpha-table`` it is the fault
+        matrix itself.
+        """
+        w = self.faulted(sensor_count) / sensor_count
+        rows = []
+        for i, ((c0, c1), (a, b)) in enumerate(zip(_ARC_COLUMNS.tolist(), self.arcs)):
+            row = [0.0, 0.0, 0.0]
+            row[c0], row[c1] = w * a, w * b
+            row[i] = 1.0 - row[c0] - row[c1]
+            rows.append(tuple(row))
+        return tuple(rows)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .fusion import FaultModel
 from .optimize import OptimizationResult, minimize_error
 from .signal_model import CODES, Priors, SignalModel
 from .simulator import (
-    FaultSpec,
     FieldConfig,
     Rectangle,
     RunResult,
@@ -100,8 +100,7 @@ class ExperimentConfig(FieldConfig):
             self.signal_model()
             self.priors()
             super().__post_init__()
-            # A zero fault model stands in so fault_mode is checked without faults.
-            FaultSpec(self.fault_model() or FaultModel.uniform_split(0.0), self.fault_mode)
+            self.fault_model()
             if self.alphas is not None and self.p_f != 0.0:
                 raise ConfigError("give either p_f or alphas, not both")
             self.threshold_override()
@@ -124,15 +123,11 @@ class ExperimentConfig(FieldConfig):
 
     def fault_model(self) -> FaultModel | None:
         if self.alphas is not None:
-            return FaultModel(*self.alphas)
-        # Any nonzero p_f, negative or NaN included, reaches the range check.
-        if self.p_f != 0.0:
-            return FaultModel.uniform_split(self.p_f)
-        return None
-
-    def fault_spec(self) -> FaultSpec | None:
-        model = self.fault_model()
-        return None if model is None else FaultSpec(model, self.fault_mode)
+            return FaultModel(*self.alphas, mode=self.fault_mode)
+        # Any p_f, negative or NaN included, reaches the range check, and
+        # fault_mode is checked even when p_f = 0 leaves no faults.
+        faults = FaultModel.uniform_split(self.p_f, self.fault_mode)
+        return faults if self.p_f != 0.0 else None
 
     def threshold_override(self) -> LikelihoodThresholds | None:
         given = (self.lambda1 is not None, self.lambda2 is not None)
@@ -256,12 +251,12 @@ class _Cell:
     optimization: OptimizationResult | None
     model: SignalModel
     gammas: ObservationThresholds
-    spec: FaultSpec | None
+    faults: FaultModel | None
 
     def realize(self, rngs: list[np.random.Generator]) -> RunResult:
         """Run detection on one stacked field, one realization per generator."""
         field = generate_field(self.config, rngs)
-        return run_detection(field, self.model, self.gammas, self.spec, rngs)
+        return run_detection(field, self.model, self.gammas, self.faults, rngs)
 
 
 def _cell(config: ExperimentConfig, searches: dict[tuple, OptimizationResult]) -> _Cell:
@@ -275,7 +270,7 @@ def _cell(config: ExperimentConfig, searches: dict[tuple, OptimizationResult]) -
         thresholds = optimization.thresholds
     model = config.signal_model()
     return _Cell(config, thresholds, optimization, model,
-                 gammas_from_lambdas(model, thresholds), config.fault_spec())
+                 gammas_from_lambdas(model, thresholds), config.fault_model())
 
 
 def _format_value(value: object) -> str:
@@ -287,7 +282,8 @@ def _format_value(value: object) -> str:
 def _write_csv(path: Path, header: str, rows: list[list[object]]) -> None:
     lines = [header]
     lines.extend(",".join(_format_value(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    with open_output(path) as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def make_output_dir(path: Path) -> Path:
@@ -297,6 +293,14 @@ def make_output_dir(path: Path) -> Path:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
     return path
+
+
+def open_output(path: Path, mode: str = "w") -> TextIO:
+    """Open output file ``path`` in text ``mode``, or raise ConfigError."""
+    try:
+        return path.open(mode)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
 # The "decision,faulty\n" end of a scatter row, at 2 * (code % 3) + faulty.
@@ -323,7 +327,7 @@ def _write_scatter(
     paths = [out / name for name, _, _ in files]
     positions, truth = field.positions, field.truth
     with ExitStack() as stack:
-        handles = [stack.enter_context(path.open("w")) for path in paths]
+        handles = [stack.enter_context(open_output(path)) for path in paths]
         for handle in handles:
             handle.write(f"{SCATTER_CSV_HEADER}\n")
         for a in range(0, truth.size, _SCATTER_BLOCK_ROWS):
@@ -353,13 +357,13 @@ def run_single(config: ExperimentConfig, output_dir: str | Path) -> SingleRunArt
 
     cell = _cell(config, {})
     result = cell.realize([np.random.default_rng(config.seed)])
-    thresholds, optimization, spec = cell.thresholds, cell.optimization, cell.spec
+    thresholds, optimization, faults = cell.thresholds, cell.optimization, cell.faults
 
     # The clean pair's rows are flagged 0; without faults only it is written.
     clean = np.zeros(config.sensor_count, dtype=bool)
     flags = (clean, clean) + (result.faulty,) * 2
     files = list(zip(_SCATTER_FILES, result.layers, flags))
-    paths = _write_scatter(out, result.field, files if spec is not None else files[:2])
+    paths = _write_scatter(out, result.field, files if faults is not None else files[:2])
 
     summary: dict[str, object] = {
         "sensor_count": config.sensor_count,
@@ -372,7 +376,7 @@ def run_single(config: ExperimentConfig, output_dir: str | Path) -> SingleRunArt
         "optimizer_converged": "" if optimization is None else optimization.converged,
         # Blank under alphas, whose sum need not be a probability.
         "p_f": "" if config.alphas is not None else config.p_f,
-        "fault_mode": "" if spec is None else spec.mode,
+        "fault_mode": "" if faults is None else faults.mode,
         "fault_count": result.fault_count,
         **dict(zip(_ERROR_KEYS, (100.0 * result.error_rates[0]).tolist())),
     }

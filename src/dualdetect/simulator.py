@@ -12,17 +12,18 @@ realization draws exactly the numbers it would draw alone, and each
 error rate holds one value per realization. A single field is a list
 of one generator.
 
-Faults corrupt reported decisions between the local and fusion stages.
-``FaultSpec.arcs`` states each mode's law once: where a faulted sensor
-goes along the two off-diagonal arcs leaving its decision's row of the
-fault matrix. ``forced-change`` faults exactly ``FaultSpec.faulted(N)``
-distinct sensors and moves each one in proportion to its row's arcs
-(evenly when both are zero). ``alpha-table`` faults every sensor with
-the matrix's own arcs, so each keeps its decision with the diagonal
-mass. ``FaultSpec.vote_matrix`` is the resulting per-vote law. One
-injector maps one uniform draw per faulted sensor onto its row's arcs
-in ascending column order, which fixes the labels a given seed
-produces; a run result flags the sensors whose reports changed.
+Faults corrupt reported decisions between the local and fusion stages,
+by the law of one ``FaultModel``. Its ``arcs`` state each mode's law
+once: where a faulted sensor goes along the two off-diagonal arcs
+leaving its decision's row of the fault matrix. ``forced-change``
+faults exactly ``FaultModel.faulted(N)`` distinct sensors and moves
+each one in proportion to its row's arcs (evenly when both are zero).
+``alpha-table`` faults every sensor with the matrix's own arcs, so each
+keeps its decision with the diagonal mass. ``FaultModel.vote_matrix``
+is the resulting per-vote law. One injector maps one uniform draw per
+faulted sensor onto its row's arcs in ascending column order, which
+fixes the labels a given seed produces; a run result flags the sensors
+whose reports changed.
 """
 
 from __future__ import annotations
@@ -30,27 +31,23 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
-from fractions import Fraction
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .decision_rules import ObservationThresholds, classify_observations
-from .fusion import FaultModel, FusionParams, fuse_decisions
+from .fusion import _ARC_COLUMNS, FaultModel, FusionParams, fuse_decisions
 from .signal_model import CODES, Hypothesis, SignalModel
 
 __all__ = [
     "Rectangle",
     "FieldConfig",
     "SensorField",
-    "FaultSpec",
     "RunResult",
     "generate_field",
     "run_detection",
-    "FAULT_MODES",
 ]
 
-FAULT_MODES = ("forced-change", "alpha-table")
 # Neighbour lists hold int32 sensor indices, so no field, stacked or
 # not, may have more sensors than this.
 _MAX_SENSORS = int(np.iinfo(np.int32).max)
@@ -167,77 +164,6 @@ class SensorField:
     positions: np.ndarray    # (R*N, 2) float64
     truth: np.ndarray        # (R*N,) int8 decision codes
     neighbors: np.ndarray    # (R*N, n) int32, each row a set in no order
-
-
-# Each FaultModel.matrix row's off-diagonal columns in ascending order.
-# Rows and columns follow CODES, so a decision code's row is code % 3.
-_ARC_COLUMNS = np.array([[1, 2], [0, 2], [0, 1]])
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """How faults are injected into one run.
-
-    ``arcs`` states each mode's transition law once: row ``code % 3``
-    holds the probabilities that a faulted sensor with that decision
-    moves to the row's two off-diagonal columns (``_ARC_COLUMNS`` order);
-    it keeps its decision with the rest. Under ``alpha-table`` they are
-    the fault matrix's off-diagonal entries; under ``forced-change`` the
-    same entries rescaled to add up to 1 (0.5 each when both are zero).
-    :meth:`faulted` counts the faulted sensors and :meth:`vote_matrix`
-    states the per-vote law. Arcs premultiplied by P_f would make the
-    injector divide it out again, and that rounding can move a draw.
-    """
-
-    model: FaultModel
-    mode: str = "forced-change"
-    arcs: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.mode not in FAULT_MODES:
-            raise ValueError(f"fault mode must be one of {FAULT_MODES}, got {self.mode!r}")
-        # Forced-change faults floor(total * N) of N sensors; alpha-table
-        # needs only the matrix's valid rows, which FaultModel checks.
-        total = self.model.total_probability
-        if self.mode == "forced-change" and total > 1.0:
-            raise ValueError(f"fault probability must not exceed 1, got {total!r}")
-        arcs = tuple((row[c0], row[c1])
-                     for row, (c0, c1) in zip(self.model.matrix, _ARC_COLUMNS.tolist()))
-        if self.mode == "forced-change":
-            arcs = tuple((a / (a + b), 1.0 - a / (a + b)) if a + b > 0.0 else (0.5, 0.5)
-                         for a, b in arcs)
-        object.__setattr__(self, "arcs", arcs)
-
-    def faulted(self, sensor_count: int) -> int:
-        """How many of a field's ``sensor_count`` sensors are faulted.
-
-        ``forced-change`` faults floor(P_f * N), the floor of the decimal
-        product: the double nearest 0.29 lies below it, so 0.29 * 100
-        would floor to 28 in floating point. P_f is the model's
-        ``total_probability``, which ``FaultModel.uniform_split`` keeps as
-        configured: the sum of its six shares can floor one fault short
-        (4 of 100 at 0.05). ``alpha-table`` faults all N.
-        """
-        if self.mode == "alpha-table":
-            return sensor_count
-        return math.floor(Fraction(repr(float(self.model.total_probability))) * sensor_count)
-
-    def vote_matrix(self, sensor_count: int) -> tuple[tuple[float, float, float], ...]:
-        """The marginal per-vote fault matrix on a field of ``sensor_count``
-        sensors, in ``FaultModel.matrix`` layout: ``w * arcs`` off the
-        diagonal, with ``w = faulted(N) / N``, so under ``alpha-table`` it
-        is the fault matrix itself.
-        """
-        if self.mode == "alpha-table":
-            return self.model.matrix
-        w = self.faulted(sensor_count) / sensor_count
-        rows = []
-        for i, ((c0, c1), (a, b)) in enumerate(zip(_ARC_COLUMNS.tolist(), self.arcs)):
-            row = [0.0, 0.0, 0.0]
-            row[c0], row[c1] = w * a, w * b
-            row[i] = 1.0 - row[c0] - row[c1]
-            rows.append(tuple(row))
-        return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -501,15 +427,15 @@ def generate_field(config: FieldConfig, rngs: Sequence[np.random.Generator]) -> 
 
 
 def _inject_faults(
-    local: np.ndarray, spec: FaultSpec, rngs: Sequence[np.random.Generator]
+    local: np.ndarray, faults: FaultModel, rngs: Sequence[np.random.Generator]
 ) -> np.ndarray:
     """Reported decisions: the mode picks the faulted sensors and their
     draws, then a draw below the first arc takes it, one below both arcs
     takes the second, and any other keeps the label.
     """
     size = local.shape[0] // len(rngs)
-    if spec.mode == "forced-change":
-        n_faulty = spec.faulted(size)
+    if faults.mode == "forced-change":
+        n_faulty = faults.faulted(size)
         # Each realization's generator picks its faulty sensors, then draws
         # their transitions.
         draws = [(g.choice(size, size=n_faulty, replace=False), g.random(n_faulty)) for g in rngs]
@@ -519,7 +445,7 @@ def _inject_faults(
         chosen = slice(None)
         u = np.concatenate([g.random(size) for g in rngs])
     rows = local[chosen] % 3
-    arcs, columns = np.array(spec.arcs)[rows], _ARC_COLUMNS[rows]
+    arcs, columns = np.array(faults.arcs)[rows], _ARC_COLUMNS[rows]
     moved = np.where(u < arcs[:, 0], columns[:, 0],
                      np.where(u < arcs[:, 0] + arcs[:, 1], columns[:, 1], rows))
     reported = local.copy()
@@ -531,7 +457,7 @@ def run_detection(
     field: SensorField,
     model: SignalModel,
     gammas: ObservationThresholds,
-    faults: FaultSpec | None,
+    faults: FaultModel | None,
     rngs: Sequence[np.random.Generator],
 ) -> RunResult:
     """Simulate one observation round over each realization of a field.

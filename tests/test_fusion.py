@@ -1,7 +1,7 @@
 """Decision fusion: quorum tail sums, fault transitions, error composition."""
 
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -154,6 +154,27 @@ class TestFaultModel:
             FaultModel(-0.1, 0, 0, 0, 0, 0)
         with pytest.raises(ValueError):
             FaultModel(0.6, 0, 0.6, 0, 0, 0)
+
+    def test_mode(self):
+        # alpha-table, the law the closed form assumes, is the default and
+        # needs only valid rows; forced-change bounds the alphas' total by 1.
+        assert FaultModel(0.5, 0.5, 0.5, 0.5, 0.0, 0.0).mode == "alpha-table"
+        with pytest.raises(ValueError, match="must not exceed 1, got 2.0"):
+            FaultModel(0.5, 0.5, 0.5, 0.5, 0.0, 0.0, mode="forced-change")
+        with pytest.raises(ValueError, match="fault mode must be one of"):
+            FaultModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, mode="bogus")
+        forced = FaultModel.uniform_split(0.12, "forced-change")
+        assert forced.mode == "forced-change"
+        assert forced != FaultModel.uniform_split(0.12)
+        assert forced.matrix == FaultModel.uniform_split(0.12).matrix
+
+    def test_uniform_split_keeps_its_total_in_each_mode(self):
+        # replace re-sums the six shares, 0.049999999999999996 here, and
+        # floors one forced-change fault short; uniform_split's mode does not.
+        for mode in ("alpha-table", "forced-change"):
+            assert FaultModel.uniform_split(0.05, mode).total_probability == 0.05
+        assert FaultModel.uniform_split(0.05, "forced-change").faulted(100) == 5
+        assert replace(FaultModel.uniform_split(0.05), mode="forced-change").faulted(100) == 4
 
     def test_transition_matrix(self):
         faults = FaultModel(0.01, 0.02, 0.03, 0.04, 0.05, 0.06)

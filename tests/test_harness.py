@@ -467,7 +467,7 @@ class TestConfigValidation:
 
     def test_alphas_define_fault_probability(self):
         config = ExperimentConfig(alphas=(0.02,) * 6)
-        assert config.fault_spec().model.total_probability == pytest.approx(0.12)
+        assert config.fault_model().total_probability == pytest.approx(0.12)
 
     def test_defaults_are_valid(self):
         ExperimentConfig()
@@ -497,7 +497,7 @@ class TestFieldGeometry:
             rngs = [np.random.default_rng(seed) for seed in (4, 5)]
             field = generate_field(field_config, rngs)
             results.append(simulator.run_detection(
-                field, config.signal_model(), gammas, config.fault_spec(), rngs))
+                field, config.signal_model(), gammas, config.fault_model(), rngs))
         a, b = results
         for name in ("positions", "truth", "neighbors"):
             np.testing.assert_array_equal(getattr(a.field, name), getattr(b.field, name))
@@ -1108,7 +1108,16 @@ class TestCli:
         assert code == 2
         assert str(blocker) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("where", ["under_a_file", "a_directory"])
+    def test_simulate_output_file_is_a_directory_exit_two(self, tmp_path, capsys):
+        blocker = tmp_path / "local_decisions.csv"
+        blocker.mkdir()
+        code = main(["simulate", "--sensor-count", "60", "--lambda1", "1.0",
+                     "--lambda2", "1.9", "--output-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [f"error: cannot write {blocker}: Is a directory"]
+
+    @pytest.mark.parametrize("where", ["under_a_file", "a_directory", "a_dangling_symlink"])
     def test_sweep_bad_output_exit_two_before_simulating(
         self, tmp_path, capsys, monkeypatch, where
     ):
@@ -1116,16 +1125,33 @@ class TestCli:
         if where == "under_a_file":
             blocker.write_text("")
             output = blocker / "s.csv"
-        else:
+        elif where == "a_directory":
             blocker.mkdir()
             output = blocker
+        else:
+            output = tmp_path / "sweep.csv"
+            output.symlink_to(blocker / "sweep.csv")
+            blocker = output  # the path the error names
         sweeps = []
         monkeypatch.setattr("dualdetect.cli.run_sweep", lambda *args: sweeps.append(args))
         code = main(["sweep", "--param", "p_f", "--values", "0.12",
                      "--output", str(output)])
+        err = capsys.readouterr().err
         assert code == 2
-        assert str(blocker) in capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert str(blocker) in err
         assert sweeps == []
+
+    def test_refused_sweep_leaves_its_output_as_it_was(self, tmp_path, capsys):
+        # The output is checked by opening it before the values are; a new
+        # file is removed again and an existing one keeps its bytes.
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_text("kept\n")
+        for output in (new, old):
+            assert main(["sweep", "--param", "p_f", "--values", "2",
+                         "--output", str(output)]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not new.exists() and old.read_text() == "kept\n"
 
     def test_sweep_negative_means(self, tmp_path, capsys):
         csvs = []

@@ -166,6 +166,19 @@ class TestSearchBehavior:
         assert bare.lambda2 == with_zero.lambda2
         assert bare.objective_value == with_zero.objective_value
 
+    @pytest.mark.parametrize("alphas", [(0.02,) * 6, (0.1, 0.0, 0.05, 0.0, 0.3, 0.0)],
+                             ids=["uniform", "skewed"])
+    def test_fault_mode_never_enters_closed_form(self, model, priors, params, alphas):
+        # The closed form reads only the matrix, which the mode leaves alone.
+        table = FaultModel(*alphas)
+        forced = FaultModel(*alphas, mode="forced-change")
+        assert minimize_error(model, priors, params, table) == minimize_error(
+            model, priors, params, forced)
+        logs = np.linspace(-5.0, 5.0, 41)
+        lambdas = LikelihoodThresholds(np.exp(logs)[:, None], np.exp(logs)[None, :])
+        assert np.array_equal(prob_error_faulty(model, priors, lambdas, params, table),
+                              prob_error_faulty(model, priors, lambdas, params, forced))
+
     def test_degenerate_priors_push_to_boundary(self, model, params):
         # with no event mass the optimum stops alarming altogether
         result = minimize_error(model, Priors(1.0, 0.0, 0.0), params)

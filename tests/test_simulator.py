@@ -11,7 +11,6 @@ from scipy.spatial import cKDTree
 
 from dualdetect import (
     FaultModel,
-    FaultSpec,
     FieldConfig,
     Rectangle,
     RunResult,
@@ -597,7 +596,7 @@ class TestRunDetection:
         np.testing.assert_array_equal(result.error_rates, 0.0)
 
     def test_forced_change_count_exact(self):
-        faults = FaultSpec(FaultModel.uniform_split(0.12), "forced-change")
+        faults = FaultModel.uniform_split(0.12, "forced-change")
         result = self._run(faults=faults)
         assert result.fault_count == math.floor(0.12 * 200)
         changed = result.reported != result.local
@@ -618,19 +617,19 @@ class TestRunDetection:
           for p_f in (0.12, 0.24, 0.36) for count in (200, 400, 700, 1000, 4000)),
     ])
     def test_forced_change_count_is_decimal_floor(self, p_f, count, expected):
-        spec = FaultSpec(FaultModel.uniform_split(p_f), "forced-change")
+        faults = FaultModel.uniform_split(p_f, "forced-change")
         local = np.zeros(count, dtype=np.int8)
-        reported = _inject_faults(local, spec, [np.random.default_rng(0)])
-        assert int((reported != local).sum()) == spec.faulted(count) == expected
+        reported = _inject_faults(local, faults, [np.random.default_rng(0)])
+        assert int((reported != local).sum()) == faults.faulted(count) == expected
 
     def test_forced_change_flips_every_selected_sensor(self):
-        faults = FaultSpec(FaultModel.uniform_split(0.3), "forced-change")
+        faults = FaultModel.uniform_split(0.3, "forced-change")
         result = self._run(faults=faults)
         assert result.fault_count == 60
         assert np.all(result.reported[result.faulty] != result.local[result.faulty])
 
     def test_alpha_table_marks_changed_sensors(self):
-        faults = FaultSpec(FaultModel.uniform_split(0.3), "alpha-table")
+        faults = FaultModel.uniform_split(0.3, "alpha-table")
         result = self._run(faults=faults)
         np.testing.assert_array_equal(result.faulty, result.reported != result.local)
         # each label has two outgoing arcs of P_f/6, so a sensor changes
@@ -638,7 +637,7 @@ class TestRunDetection:
         assert 0.04 <= result.fault_count / 200 <= 0.18
 
     def test_faults_leave_clean_columns_untouched(self):
-        faults = FaultSpec(FaultModel.uniform_split(0.24), "forced-change")
+        faults = FaultModel.uniform_split(0.24, "forced-change")
         clean = self._run()
         faulty = self._run(faults=faults)
         np.testing.assert_array_equal(clean.local, faulty.local)
@@ -658,7 +657,7 @@ class TestRunDetection:
     def test_batch_matches_realizations_run_alone(self, mode):
         # Each generator drives its own realization in the same order as
         # when it runs alone, so a batch is the realizations stacked.
-        faults = None if mode is None else FaultSpec(FaultModel.uniform_split(0.24), mode)
+        faults = None if mode is None else FaultModel.uniform_split(0.24, mode)
         config = FieldConfig(sensor_count=90)
         seeds = (3, 4, 5)
         rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -680,7 +679,7 @@ class TestRunDetection:
         # rows, in a batch of each fault mode and one without faults.
         config = FieldConfig(sensor_count=90)
         for mode in (None, "forced-change", "alpha-table"):
-            faults = None if mode is None else FaultSpec(FaultModel.uniform_split(0.24), mode)
+            faults = None if mode is None else FaultModel.uniform_split(0.24, mode)
             rngs = [np.random.default_rng(seed) for seed in (3, 4, 5)]
             result = run_detection(
                 generate_field(config, rngs), self.model, self.gammas, faults, rngs)
@@ -701,7 +700,7 @@ class TestRunDetection:
         names = [f.name for f in dataclasses.fields(RunResult)]
         assert names == ["field", "local", "reported", "final", "clean_final"]
         for mode in (None, "forced-change", "alpha-table"):
-            faults = None if mode is None else FaultSpec(FaultModel.uniform_split(0.3), mode)
+            faults = None if mode is None else FaultModel.uniform_split(0.3, mode)
             result = self._run(faults=faults)
             assert all(a is getattr(result, name)
                        for a, name in zip(result.layers, RATED, strict=True))
@@ -738,13 +737,13 @@ def _within_4_se(hits, trials, p):
 
 
 class TestFaultLaw:
-    """Injected reports against the per-vote law ``FaultSpec.vote_matrix``."""
+    """Injected reports against the per-vote law ``FaultModel.vote_matrix``."""
 
     @staticmethod
-    def _inject(spec):
+    def _inject(faults):
         rng = np.random.default_rng(11)
         local = rng.permutation(np.repeat(np.array([0, 1, -1], dtype=np.int8), 20_000))
-        return local, _inject_faults(local, spec, [rng])
+        return local, _inject_faults(local, faults, [rng])
 
     @staticmethod
     def _assert_reports_follow_rows(local, reported, matrix):
@@ -756,39 +755,40 @@ class TestFaultLaw:
                 assert _within_4_se(hits, reports.size, p), (label, to, hits)
 
     def test_forced_change_moves_in_proportion_to_its_row(self):
-        spec = FaultSpec(FaultModel(*SKEWED_ALPHAS), "forced-change")
-        local, reported = self._inject(spec)
+        faults = FaultModel(*SKEWED_ALPHAS, mode="forced-change")
+        local, reported = self._inject(faults)
         assert int((reported != local).sum()) == math.floor(0.45 * 60_000)
-        self._assert_reports_follow_rows(local, reported, spec.vote_matrix(local.size))
+        self._assert_reports_follow_rows(local, reported, faults.vote_matrix(local.size))
 
     def test_alpha_table_reports_follow_matrix_rows(self):
-        spec = FaultSpec(FaultModel(*SKEWED_ALPHAS), "alpha-table")
-        local, reported = self._inject(spec)
-        self._assert_reports_follow_rows(local, reported, spec.vote_matrix(local.size))
+        faults = FaultModel(*SKEWED_ALPHAS, mode="alpha-table")
+        local, reported = self._inject(faults)
+        self._assert_reports_follow_rows(local, reported, faults.vote_matrix(local.size))
 
     def test_alpha_table_needs_only_valid_rows(self):
         # Only forced-change, which faults floor(total * N) sensors, bounds
         # the alphas' total by 1.
-        spec = FaultSpec(FaultModel(*HEAVY_ALPHAS), "alpha-table")
-        local, reported = self._inject(spec)
-        self._assert_reports_follow_rows(local, reported, spec.vote_matrix(local.size))
+        faults = FaultModel(*HEAVY_ALPHAS, mode="alpha-table")
+        local, reported = self._inject(faults)
+        self._assert_reports_follow_rows(local, reported, faults.vote_matrix(local.size))
         with pytest.raises(ValueError, match="must not exceed 1, got 2.0"):
-            FaultSpec(FaultModel(*HEAVY_ALPHAS), "forced-change")
+            FaultModel(*HEAVY_ALPHAS, mode="forced-change")
 
     @given(st.tuples(*(st.floats(0.0, 1.0 / 6.0) for _ in range(6))),
            st.integers(1, 10**6))
     def test_arcs_state_each_mode_law(self, alphas, sensor_count):
-        model = FaultModel(*alphas)
-        forced = FaultSpec(model, "forced-change")
-        table = FaultSpec(model, "alpha-table")
+        table = FaultModel(*alphas)
+        forced = FaultModel(*alphas, mode="forced-change")
+        assert table.mode == "alpha-table"
+        assert forced.matrix == table.matrix
         assert table.faulted(sensor_count) == sensor_count
-        assert table.vote_matrix(sensor_count) == model.matrix
+        assert table.vote_matrix(sensor_count) == table.matrix
         w = forced.faulted(sensor_count) / sensor_count
         matrix = forced.vote_matrix(sensor_count)
         for row, (first, second) in enumerate(forced.arcs):
             assert first + second == 1.0
             off = [c for c in range(3) if c != row]
-            assert table.arcs[row] == tuple(model.matrix[row][c] for c in off)
+            assert table.arcs[row] == tuple(table.matrix[row][c] for c in off)
             assert tuple(matrix[row][c] for c in off) == (w * first, w * second)
             # Four roundings of numbers at most 1: two for the diagonal, two
             # for the sum.
